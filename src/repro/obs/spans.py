@@ -42,6 +42,7 @@ __all__ = [
     "start_span",
     "finish_span",
     "span_scope",
+    "activated",
     "inject",
     "extract",
     "reset_ids",
@@ -207,6 +208,33 @@ class span_scope:
                 tracer=self.tracer,
             )
             self.handle = None
+        return False
+
+
+class activated:
+    """Context manager: make an already-open span current for the body.
+
+    For work one span covers but that runs as many separate calls (a
+    download advanced slot by slot from outside), so spans opened by
+    each call still parent under it.  ``None`` is a no-op, matching
+    :func:`finish_span`.
+    """
+
+    __slots__ = ("handle", "_token")
+
+    def __init__(self, handle: SpanHandle | None) -> None:
+        self.handle = handle
+        self._token = None
+
+    def __enter__(self) -> SpanHandle | None:
+        if self.handle is not None:
+            self._token = _CURRENT.set(self.handle)
+        return self.handle
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._token is not None:
+            _CURRENT.reset(self._token)
+            self._token = None
         return False
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "FileManifest",
     "ChunkedEncoder",
     "StreamingDecoder",
+    "ChunkView",
 ]
 
 
@@ -241,3 +242,46 @@ class StreamingDecoder:
 
     def needed_for_chunk(self, index: int) -> int:
         return self._decoders[self.manifest.chunk_ids[index]].needed
+
+    def chunk(self, index: int) -> ChunkView:
+        """Chunk ``index`` as a decoder of its own (a per-chunk download
+        target for :class:`~repro.transfer.scheduler.ParallelDownloader`)."""
+        return ChunkView(self, index)
+
+
+class ChunkView:
+    """One chunk of a :class:`StreamingDecoder`, with the decoder surface
+    a download needs (``offer``, ``offer_many``, ``is_complete``,
+    ``needed``).
+
+    Every message is routed through :meth:`StreamingDecoder.offer`, so
+    the chunk's decoded bytes are recorded the moment it completes.
+    """
+
+    __slots__ = ("_streaming", "_decoder")
+
+    def __init__(self, streaming: StreamingDecoder, index: int):
+        self._streaming = streaming
+        self._decoder = streaming._decoders[streaming.manifest.chunk_ids[index]]
+
+    @property
+    def is_complete(self) -> bool:
+        return self._decoder.is_complete
+
+    @property
+    def needed(self) -> int:
+        return self._decoder.needed
+
+    def offer(self, message: EncodedMessage) -> Offer:
+        return self._streaming.offer(message)
+
+    def offer_many(self, messages) -> list[Offer]:
+        """Offer in order until this chunk completes; one outcome per
+        consumed message (the :meth:`ProgressiveDecoder.offer_many`
+        contract)."""
+        outcomes = []
+        for message in messages:
+            if self._decoder.is_complete:
+                break
+            outcomes.append(self._streaming.offer(message))
+        return outcomes

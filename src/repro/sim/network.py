@@ -17,8 +17,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.allocation import Allocator
 from ..discovery.chord import ChordRing, PeerDirectory
 from ..repair.monitor import DownloadRepairTrigger, RedundancyMonitor, RepairCoordinator
@@ -490,67 +488,69 @@ class FileSharingNetwork:
         and the download continues.  ``None`` leaves downloads
         bit-identical to the repair-free path.
         """
-        self._check_peer(user)
-        handle = self.registry.get(name)
-        if handle is None:
-            raise KeyError(f"no published file named {name!r}")
-        serving_peers = peers if peers is not None else list(range(self.n))
-        # Snapshot the current version's manifest for the whole download.
-        manifest = handle.manifest
-        # The downloader carries the digest slice for authentication.
-        user_digests = DigestStore()
-        for chunk_id in manifest.chunk_ids:
-            user_digests.merge(
-                chunk_id, self.digest_stores[handle.owner].slice_for_file(chunk_id)
-            )
-        streaming = StreamingDecoder(manifest, handle.bound_encoder(), user_digests)
+        return self._fetch(
+            [(user, name)], max_slots, download_cap_kbps, peers, repair_threshold
+        )[0]
 
-        self._manual[user].requesting = True
-        reports: list[DownloadReport] = []
-        total_slots = 0
+    def download_concurrently(
+        self,
+        requests,
+        max_slots: int = 1_000_000,
+        download_cap_kbps: float = math.inf,
+    ) -> list[NetworkDownload]:
+        """Run several users' downloads simultaneously over one timeline.
+
+        ``requests`` is a sequence of distinct ``(user, file name)``
+        pairs.  All transfers share the same allocation slots, so each
+        peer genuinely splits its uplink among the concurrent
+        requesters by Equation (2) — this is the configuration in which
+        the pairwise-fairness results are visible in *actual transfers*
+        rather than only in the abstract simulator.  Returns one
+        :class:`NetworkDownload` per request, in order; a single request
+        is exactly :meth:`download`.
+        """
+        requests = list(requests)
+        users = [u for u, _ in requests]
+        if len(set(users)) != len(users):
+            raise ValueError("each user may run one concurrent download")
+        return self._fetch(requests, max_slots, download_cap_kbps)
+
+    def _fetch(
+        self,
+        requests,
+        max_slots: int,
+        download_cap_kbps: float,
+        peers: list[int] | None = None,
+        repair_threshold: float | None = None,
+    ) -> list[NetworkDownload]:
+        """The access phase for every request over one shared timeline.
+
+        Each slot steps the allocation simulation once; every unfinished
+        request then advances its current chunk's
+        :class:`~repro.transfer.scheduler.ParallelDownloader` at that
+        slot's allocation toward its user.
+        """
+        fetches = [
+            _Fetch(self, user, name, peers, download_cap_kbps, repair_threshold)
+            for user, name in requests
+        ]
         try:
-            for chunk_id in manifest.chunk_ids:
-                chunk_peers = serving_peers
-                if peers is None and self.directory is not None:
-                    # Resolve holders through the DHT instead of assuming
-                    # global knowledge.
-                    holders, lookup = self.directory.locate(chunk_id)
-                    self.lookup_hops += lookup.hops
-                    if holders is not None:
-                        chunk_peers = [h for h in holders if 0 <= h < self.n]
-                sessions = []
-                for j in chunk_peers:
-                    serving = ServingSession(
-                        self.stores[j], self.keypairs[user].public
-                    )
-                    DownloadSession(self.keypairs[user]).handshake(serving, chunk_id)
-                    sessions.append(serving)
-                chunk_decoder = _ChunkView(streaming, chunk_id)
-                rate_fn = self._make_rate_fn(user, chunk_peers)
-                repair = None
-                if repair_threshold is not None:
-                    repair = DownloadRepairTrigger(
-                        hook=self._repair_hook(
-                            name, chunk_id, chunk_peers, sessions, user_digests
-                        ),
-                        threshold=repair_threshold,
-                    )
-                downloader = ParallelDownloader(
-                    sessions,
-                    chunk_decoder,
-                    rate_fn,
-                    download_cap_kbps=download_cap_kbps,
-                    repair=repair,
-                )
-                report = downloader.run(max_slots - total_slots, file_id=chunk_id)
-                reports.append(report)
-                total_slots += report.slots
-                if not report.complete:
+            for fetch in fetches:
+                self._manual[fetch.user].requesting = True
+                fetch.open_chunk()
+            for _ in range(max_slots):
+                live = [fetch for fetch in fetches if not fetch.done]
+                if not live:
                     break
+                alloc, _, _ = self._sim.step()
+                for fetch in live:
+                    fetch.step(alloc)
+                    if fetch.done:
+                        self._manual[fetch.user].requesting = False
         finally:
-            self._manual[user].requesting = False
-        data = streaming.result() if streaming.is_complete else b""
-        return NetworkDownload(data=data, reports=tuple(reports), slots=total_slots)
+            for fetch in fetches:
+                self._manual[fetch.user].requesting = False
+        return [fetch.result() for fetch in fetches]
 
     def _repair_hook(
         self, name: str, chunk_id: int, chunk_peers, sessions, user_digests
@@ -588,171 +588,6 @@ class FileSharingNetwork:
 
         return hook
 
-    def _make_rate_fn(self, user: int, serving_peers: list[int]):
-        """Per-slot rates from the live allocation simulation.
-
-        The embedded :class:`~repro.sim.engine.Simulation` is stepped
-        exactly once per downloader slot (the downloader queries every
-        peer at the same ``t``); the allocation row toward ``user`` is
-        cached for the duration of the slot.
-        """
-        cache: dict[int, np.ndarray] = {}
-
-        def rate_fn(session_index: int, t: int) -> float:
-            if t not in cache:
-                cache.clear()
-                alloc, _, _ = self._sim.step()
-                cache[t] = alloc[:, user]
-            return float(cache[t][serving_peers[session_index]])
-
-        return rate_fn
-
-    def download_concurrently(
-        self,
-        requests,
-        max_slots: int = 1_000_000,
-        download_cap_kbps: float = math.inf,
-    ) -> list[NetworkDownload]:
-        """Run several users' downloads simultaneously over one timeline.
-
-        ``requests`` is a sequence of distinct ``(user, file name)``
-        pairs.  All transfers share the same allocation slots, so each
-        peer genuinely splits its uplink among the concurrent
-        requesters by Equation (2) — this is the configuration in which
-        the pairwise-fairness results are visible in *actual transfers*
-        rather than only in the abstract simulator.  Returns one
-        :class:`NetworkDownload` per request, in order.
-        """
-        requests = list(requests)
-        users = [u for u, _ in requests]
-        if len(set(users)) != len(users):
-            raise ValueError("each user may run one concurrent download")
-
-        class _State:
-            pass
-
-        states: list[_State] = []
-        for user, name in requests:
-            self._check_peer(user)
-            handle = self.registry.get(name)
-            if handle is None:
-                raise KeyError(f"no published file named {name!r}")
-            manifest = handle.manifest
-            digests = DigestStore()
-            for chunk_id in manifest.chunk_ids:
-                digests.merge(
-                    chunk_id,
-                    self.digest_stores[handle.owner].slice_for_file(chunk_id),
-                )
-            st = _State()
-            st.user = user
-            st.manifest = manifest
-            st.streaming = StreamingDecoder(
-                manifest, handle.bound_encoder(), digests
-            )
-            st.chunk_index = 0
-            st.sessions = None
-            st.reports = []
-            st.chunk_slots = 0
-            st.chunk_bytes = [0.0] * self.n
-            st.delivered = st.rejected = st.dependent = 0
-            st.slots = 0
-            st.done = manifest.n_chunks == 0
-            states.append(st)
-            self._manual[user].requesting = True
-
-        try:
-            for _ in range(max_slots):
-                if all(st.done for st in states):
-                    break
-                alloc, _, _ = self._sim.step()
-                for st in states:
-                    if st.done:
-                        continue
-                    st.slots += 1
-                    st.chunk_slots += 1
-                    chunk_id = st.manifest.chunk_ids[st.chunk_index]
-                    if st.sessions is None:
-                        st.sessions = []
-                        for j in range(self.n):
-                            serving = ServingSession(
-                                self.stores[j], self.keypairs[st.user].public
-                            )
-                            DownloadSession(self.keypairs[st.user]).handshake(
-                                serving, chunk_id
-                            )
-                            st.sessions.append(serving)
-                    rates = alloc[:, st.user].copy()
-                    total = rates.sum()
-                    if total > download_cap_kbps > 0:
-                        rates *= download_cap_kbps / total
-                    chunk_view = _ChunkView(st.streaming, chunk_id)
-                    for j, session in enumerate(st.sessions):
-                        if not session.active or rates[j] <= 0:
-                            continue
-                        budget = rates[j] * 1000.0 / 8.0
-                        st.chunk_bytes[j] += budget
-                        for data in session.serve(budget):
-                            if chunk_view.is_complete:
-                                break
-                            outcome = st.streaming.offer(data.message)
-                            if outcome.name in ("ACCEPTED", "COMPLETE"):
-                                st.delivered += 1
-                            elif outcome.name == "DEPENDENT":
-                                st.dependent += 1
-                            else:
-                                st.rejected += 1
-                    if chunk_view.is_complete:
-                        from ..transfer.protocol import StopTransmission
-
-                        for session in st.sessions:
-                            session.stop(StopTransmission(file_id=chunk_id))
-                        st.reports.append(
-                            DownloadReport(
-                                complete=True,
-                                slots=st.chunk_slots,
-                                bytes_received=sum(st.chunk_bytes),  # repro: allow[float-bare-sum] (n-length report total, not a hot path)
-                                messages_delivered=st.delivered,
-                                messages_rejected=st.rejected,
-                                messages_dependent=st.dependent,
-                                per_peer_bytes=tuple(st.chunk_bytes),
-                            )
-                        )
-                        st.chunk_slots = 0
-                        st.chunk_bytes = [0.0] * self.n
-                        st.delivered = st.rejected = st.dependent = 0
-                        st.sessions = None
-                        st.chunk_index += 1
-                        if st.chunk_index >= st.manifest.n_chunks:
-                            st.done = True
-                            self._manual[st.user].requesting = False
-        finally:
-            for st in states:
-                self._manual[st.user].requesting = False
-
-        results = []
-        for st in states:
-            if not st.done:
-                # Sentinel for the unfinished chunk so the aggregate
-                # NetworkDownload reads incomplete even when earlier
-                # chunks finished.
-                st.reports.append(
-                    DownloadReport(
-                        complete=False,
-                        slots=st.chunk_slots,
-                        bytes_received=sum(st.chunk_bytes),  # repro: allow[float-bare-sum] (n-length report total, not a hot path)
-                        messages_delivered=st.delivered,
-                        messages_rejected=st.rejected,
-                        messages_dependent=st.dependent,
-                        per_peer_bytes=tuple(st.chunk_bytes),
-                    )
-                )
-            data = st.streaming.result() if st.streaming.is_complete else b""
-            results.append(
-                NetworkDownload(data=data, reports=tuple(st.reports), slots=st.slots)
-            )
-        return results
-
     def ledger_of(self, peer: int):
         """The live contribution ledger of ``peer`` (read-mostly)."""
         self._check_peer(peer)
@@ -763,36 +598,108 @@ class FileSharingNetwork:
             raise IndexError(f"peer index {index} out of range 0..{self.n - 1}")
 
 
-class _ChunkView:
-    """Adapter exposing one chunk of a streaming decoder as a decoder."""
+class _Fetch:
+    """One user's in-order, chunk-by-chunk fetch of one published file,
+    advanced a slot at a time by :meth:`FileSharingNetwork._fetch`."""
 
-    def __init__(self, streaming: StreamingDecoder, chunk_id: int):
-        self._streaming = streaming
-        self._chunk_id = chunk_id
+    def __init__(
+        self,
+        net: FileSharingNetwork,
+        user: int,
+        name: str,
+        peers: list[int] | None,
+        download_cap_kbps: float,
+        repair_threshold: float | None,
+    ):
+        net._check_peer(user)
+        handle = net.registry.get(name)
+        if handle is None:
+            raise KeyError(f"no published file named {name!r}")
+        self.net = net
+        self.user = user
+        self.name = name
+        self.peers = peers
+        self.download_cap_kbps = download_cap_kbps
+        self.repair_threshold = repair_threshold
+        # Snapshot the current version's manifest for the whole download.
+        self.manifest = handle.manifest
+        # The downloader carries the digest slice for authentication.
+        self.digests = DigestStore()
+        for chunk_id in self.manifest.chunk_ids:
+            self.digests.merge(
+                chunk_id, net.digest_stores[handle.owner].slice_for_file(chunk_id)
+            )
+        self.streaming = StreamingDecoder(
+            self.manifest, handle.bound_encoder(), self.digests
+        )
+        self.index = 0  # chunk being downloaded
+        self.downloader: ParallelDownloader | None = None
+        self.reports: list[DownloadReport] = []
+        self.slots = 0
+        # This slot's allocation toward the user, read by the rate
+        # function (a cell, so the downloader holds no cycle back here).
+        self._row = [None]
 
     @property
-    def is_complete(self) -> bool:
-        index = self._streaming.manifest.chunk_ids.index(self._chunk_id)
-        return self._streaming.needed_for_chunk(index) == 0
+    def done(self) -> bool:
+        return self.index >= self.manifest.n_chunks
 
-    @property
-    def needed(self) -> int:
-        index = self._streaming.manifest.chunk_ids.index(self._chunk_id)
-        return self._streaming.needed_for_chunk(index)
+    def open_chunk(self) -> None:
+        """Locate the chunk's holders, authenticate to each and start its
+        download."""
+        net = self.net
+        chunk_id = self.manifest.chunk_ids[self.index]
+        chunk_peers = self.peers if self.peers is not None else list(range(net.n))
+        if self.peers is None and net.directory is not None:
+            # Resolve holders through the DHT instead of assuming
+            # global knowledge.
+            holders, lookup = net.directory.locate(chunk_id)
+            net.lookup_hops += lookup.hops
+            if holders is not None:
+                chunk_peers = [h for h in holders if 0 <= h < net.n]
+        keys = net.keypairs[self.user]
+        sessions = []
+        for j in chunk_peers:
+            serving = ServingSession(net.stores[j], keys.public)
+            DownloadSession(keys).handshake(serving, chunk_id)
+            sessions.append(serving)
+        repair = None
+        if self.repair_threshold is not None:
+            repair = DownloadRepairTrigger(
+                hook=net._repair_hook(
+                    self.name, chunk_id, chunk_peers, sessions, self.digests
+                ),
+                threshold=self.repair_threshold,
+            )
+        row = self._row
+        self.downloader = ParallelDownloader(
+            sessions,
+            self.streaming.chunk(self.index),
+            lambda i, t: float(row[0][chunk_peers[i]]),
+            download_cap_kbps=self.download_cap_kbps,
+            repair=repair,
+        )
+        self.downloader.start(chunk_id)
 
-    def offer(self, message):
-        return self._streaming.offer(message)
+    def step(self, alloc) -> None:
+        """One slot of the current chunk at this slot's allocation."""
+        self._row[0] = alloc[:, self.user]
+        self.slots += 1
+        self.downloader.step()
+        if self.downloader.done:
+            self.reports.append(self.downloader.finish())
+            self.index += 1
+            if not self.done:
+                self.open_chunk()
 
-    def offer_many(self, messages):
-        # Per-message routing: the streaming decoder updates per-chunk
-        # results as each message lands, so the batch contract here is
-        # simply "consume until this chunk completes".
-        outcomes = []
-        for message in messages:
-            if self.is_complete:
-                break
-            outcomes.append(self._streaming.offer(message))
-        return outcomes
+    def result(self) -> NetworkDownload:
+        reports = self.reports
+        if not self.done:
+            # The unfinished chunk's report makes the aggregate read
+            # incomplete even when earlier chunks finished.
+            reports = reports + [self.downloader.finish()]
+        data = self.streaming.result() if self.streaming.is_complete else b""
+        return NetworkDownload(data=data, reports=tuple(reports), slots=self.slots)
 
 
 class _EitherDemand(DemandProcess):

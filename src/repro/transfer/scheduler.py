@@ -3,21 +3,33 @@
 The user "would typically contact multiple peers and request encoded
 messages comprising the desired (encoded) file" and stop everyone once
 ``k`` useful messages arrived.  :class:`ParallelDownloader` drives a set
-of authenticated serving sessions slot by slot: each slot a rate
-function says how many kbps every peer granted this user (in the full
-stack this is the Equation (2) allocation), bytes flow, completed
-messages feed the progressive decoder, and a stop transmission is
-issued the moment decoding completes.
+of authenticated serving sessions through one slot loop: each slot a
+rate function says how many kbps every peer granted this user (in the
+full stack this is the Equation (2) allocation), bytes flow, completed
+messages reach the progressive decoder once their in-flight delay has
+elapsed, and a stop transmission goes out the moment decoding
+completes.
 
-With a :class:`RobustPolicy` the downloader additionally assumes peers
-are *untrusted and unreliable* (the paper's actual threat model): every
-received message is digest-verified before it may reach the decoder,
-peers whose messages fail verification are quarantined and their slot
-budget re-scaled across the healthy peers, silent peers trip a stall
-timeout, crashed connections are survived, and the outcome report names
-every faulty peer with a failure taxonomy (crashed / stalled / polluted
-/ refused) plus the bytes their misbehaviour cost.  Without a policy
-the behaviour — and the report — is bit-identical to the trusting path.
+The loop's behaviour is set only by the objects it is given:
+
+* a :class:`~repro.transfer.latency.LatencyModel` adds handshake delay,
+  in-flight delay and stop lag; without one every delay is zero slots,
+  so messages land in the slot they were served and the stop is heard
+  at once;
+* a :class:`RobustPolicy` treats peers as *untrusted and unreliable*
+  (the paper's actual threat model): every received message is
+  digest-verified before it may reach the decoder, a peer is
+  quarantined on its first failed digest and its slot budget re-scaled
+  across the healthy peers, silent peers trip a stall timeout, crashed
+  connections are survived, and the report names every faulty peer
+  with a failure taxonomy (crashed / stalled / polluted / refused) plus
+  the bytes their misbehaviour cost.  Without a policy nothing is
+  verified or re-scaled and a crash propagates;
+* a repair trigger is consulted every slot in every configuration.
+
+:meth:`ParallelDownloader.run` steps the loop to completion;
+:meth:`~ParallelDownloader.step` lets an outside driver advance several
+downloads over one shared timeline.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from ..obs.events import (
 )
 from ..rlnc.decoder import ProgressiveDecoder
 from ..security.integrity import DigestStore
+from .latency import LatencyModel
 from .protocol import SessionCrashed, StopTransmission
 from .session import ServingSession
 
@@ -118,7 +131,13 @@ class PeerFailure:
 
 @dataclass(frozen=True)
 class RobustPolicy:
-    """Failure handling knobs for the robust download path.
+    """Failure handling for untrusted peers.
+
+    Two rules are fixed, as the paper's stance: a peer is quarantined on
+    its first failed digest (one provably bogus message is proof
+    enough), and quarantined peers' slot budget is always re-scaled
+    across the remaining healthy peers so the download degrades instead
+    of slowing by the faulty peers' share.
 
     Parameters
     ----------
@@ -132,34 +151,20 @@ class RobustPolicy:
         was granted budget but completed no message.  Must exceed the
         worst-case slots-per-message at the granted rate, or slow honest
         peers will be misclassified.
-    quarantine_after:
-        Digest failures tolerated before the peer is quarantined.  The
-        default of 1 is the paper's stance: one provably bogus message
-        is proof enough.
     max_handshake_attempts / backoff_slots:
         Bounded retry for failed handshakes (used by
         :meth:`~repro.transfer.session.DownloadSession.handshake_with_retry`).
-    redistribute:
-        Re-scale quarantined peers' slot budget across the remaining
-        healthy peers so the download degrades instead of slowing by
-        the faulty peers' share.
     """
 
     digest_store: DigestStore | None = None
     stall_timeout_slots: int = 12
-    quarantine_after: int = 1
     max_handshake_attempts: int = 3
     backoff_slots: int = 1
-    redistribute: bool = True
 
     def __post_init__(self):
         if self.stall_timeout_slots < 1:
             raise ValueError(
                 f"stall_timeout_slots must be >= 1, got {self.stall_timeout_slots}"
-            )
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
         if self.max_handshake_attempts < 1:
             raise ValueError(
@@ -178,9 +183,10 @@ class DownloadReport:
     ``wasted_bytes`` counts bytes peers transmitted after decoding
     completed but before the stop transmission reached them (nonzero
     only under a latency model); ``first_data_slot`` is when the first
-    payload byte arrived (after handshakes).  ``failures`` is the
-    per-peer failure taxonomy collected by the robust path (empty when
-    no :class:`RobustPolicy` was given or every peer behaved).
+    payload byte arrived (after handshakes; ``None`` if none did).
+    ``failures`` is the per-peer failure taxonomy collected under a
+    :class:`RobustPolicy` (empty without one, or when every peer
+    behaved).
     """
 
     complete: bool
@@ -248,11 +254,10 @@ class DownloadReport:
 
 
 class _RobustState:
-    """Per-peer health book-keeping for the failure-aware paths.
+    """Per-peer health book-keeping under a :class:`RobustPolicy`.
 
     Owns the failure taxonomy: who is dead (no further budget), why,
-    and what their misbehaviour cost.  The same instance serves both
-    the plain and the latency run loops.
+    and what their misbehaviour cost.
     """
 
     def __init__(
@@ -306,7 +311,7 @@ class _RobustState:
             if self.dead[i]:
                 lost += max(out[i], 0.0)
                 out[i] = 0.0
-        if lost > 0.0 and self.policy.redistribute:
+        if lost > 0.0:
             healthy = [
                 i
                 for i in range(self.n)
@@ -338,11 +343,9 @@ class _RobustState:
             peer=peer,
             message_id=int(message.message_id),
         )
-        if self._discard_msgs[peer] >= self.policy.quarantine_after:
-            self._fail(
-                peer, "polluted", slot,
-                "quarantined after failed digest verification",
-            )
+        self._fail(
+            peer, "polluted", slot, "quarantined after failed digest verification"
+        )
         return False
 
     def note_served(self, peer: int, delivered: int, budget: float, slot: int) -> None:
@@ -393,9 +396,10 @@ class ParallelDownloader:
         also be passed — they are classified as ``refused`` and granted
         no budget.
     decoder:
-        The user's :class:`~repro.rlnc.decoder.ProgressiveDecoder` (or a
-        :class:`~repro.rlnc.chunking.StreamingDecoder`-compatible object
-        exposing ``offer`` and ``is_complete``).
+        The user's :class:`~repro.rlnc.decoder.ProgressiveDecoder`, or
+        any object exposing ``offer``, ``offer_many``, ``is_complete``
+        and ``needed`` (e.g. a
+        :meth:`~repro.rlnc.chunking.StreamingDecoder.chunk` view).
     rate_fn:
         ``rate_fn(peer_index, t) -> kbps`` granted to this user at slot
         ``t`` — the hook where the allocation engine plugs in.
@@ -405,9 +409,14 @@ class ParallelDownloader:
         are scaled down proportionally when the sum exceeds it).
     slot_seconds:
         Wall-clock length of one slot.
+    latency:
+        Optional :class:`~repro.transfer.latency.LatencyModel`.  ``None``
+        is the zero-RTT model: no handshake delay, same-slot delivery,
+        an instant stop and therefore no wasted bytes.
     policy:
-        Optional :class:`RobustPolicy` enabling the failure-aware path.
-        ``None`` (the default) preserves the trusting behaviour exactly.
+        Optional :class:`RobustPolicy` for untrusted peers.  ``None``
+        trusts every peer: nothing is verified or re-scaled and a
+        :class:`~repro.transfer.protocol.SessionCrashed` propagates.
     repair:
         Optional :class:`~repro.repair.monitor.DownloadRepairTrigger`.
         Each slot the downloader compares the undelivered supply across
@@ -417,6 +426,10 @@ class ParallelDownloader:
         fresh messages appear in a live peer's store and flow through
         its open serving cursor).  ``None`` (the default) changes
         nothing: downloads are bit-identical with repair disabled.
+
+    :meth:`run` does everything; an outside driver advancing several
+    downloads over one timeline calls :meth:`start`, then :meth:`step`
+    once per slot until :attr:`done`, then :meth:`finish`.
     """
 
     def __init__(
@@ -426,7 +439,7 @@ class ParallelDownloader:
         rate_fn: Callable[[int, int], float],
         download_cap_kbps: float = math.inf,
         slot_seconds: float = 1.0,
-        latency=None,
+        latency: LatencyModel | None = None,
         policy: RobustPolicy | None = None,
         repair=None,
     ):
@@ -447,8 +460,220 @@ class ParallelDownloader:
         self.latency = latency
         self.policy = policy
         self.repair = repair
+        n = len(self.sessions)
+        model = latency if latency is not None else LatencyModel([0.0] * n)
+        self._handshake = [model.handshake_slots(i) for i in range(n)]
+        self._delivery = [model.delivery_slots(i) for i in range(n)]
+        self._stop_lag = [model.stop_slots(i) for i in range(n)]
+        #: Slots stepped so far.
+        self.slots = 0
+        self._per_peer = [0.0] * n
+        self._total_bytes = 0.0
+        self._wasted = 0.0
+        self._first_data_slot: int | None = None
+        self._delivered = self._rejected = self._dependent = 0
+        self._inflight: list[tuple[int, int, object]] = []  # (arrival, peer, message)
+        self._stop_at: list[int] | None = None  # per-peer stop slot, once complete
+        self._finished = False
 
-    def _check_repair(self, slot: int, dead=None) -> None:
+    def start(self, file_id: int | None = None) -> None:
+        """Open the download: ``transfer.start``, its span and one span
+        per peer session (quarantine and retry spans attach to these).
+        Call once, before the first :meth:`step`."""
+        n = len(self.sessions)
+        self._stop = StopTransmission(file_id=file_id if file_id is not None else -1)
+        _TRACER.emit(TRANSFER_START, peers=n, file_id=self._stop.file_id)
+        self._span = _spans.start_span(
+            "transfer.download", peers=n, file_id=self._stop.file_id
+        )
+        self._peer_spans = None
+        if self._span is not None:
+            self._peer_spans = [
+                _spans.start_span("transfer.peer", parent=self._span, peer=i)
+                for i in range(n)
+            ]
+        self._robust = None
+        self._dead = [False] * n
+        if self.policy is not None:
+            self._robust = _RobustState(
+                n, self.policy, self.sessions, peer_spans=self._peer_spans
+            )
+            self._dead = self._robust.dead
+
+    @property
+    def done(self) -> bool:
+        """Decoded, and every peer has heard the stop."""
+        return self._finished or (self._stop_at is None and self.decoder.is_complete)
+
+    def step(self) -> None:
+        """Advance one slot: deliver what has arrived, serve every peer's
+        grant, and stop everyone once the decode completes."""
+        with _spans.activated(self._span):
+            self._step()
+
+    def finish(self) -> DownloadReport:
+        """Close the download's spans and return its report."""
+        report = DownloadReport(
+            complete=self.decoder.is_complete,
+            slots=self.slots,
+            bytes_received=self._total_bytes,
+            messages_delivered=self._delivered,
+            messages_rejected=self._rejected,
+            messages_dependent=self._dependent,
+            per_peer_bytes=tuple(self._per_peer),
+            wasted_bytes=self._wasted,
+            first_data_slot=self._first_data_slot,
+            slot_seconds=self.slot_seconds,
+            failures=self._robust.failures() if self._robust is not None else (),
+        )
+        if self._peer_spans is not None:
+            kind_of = {f.peer: f.kind for f in report.failures}
+            for i, handle in enumerate(self._peer_spans):
+                _spans.finish_span(handle, status=kind_of.get(i, "ok"))
+        _spans.finish_span(self._span)
+        return report
+
+    def run(self, max_slots: int, file_id: int | None = None) -> DownloadReport:
+        """Step until decode completes (and every peer heard the stop) or
+        ``max_slots`` elapse."""
+        self.start(file_id)
+        try:
+            while not self.done and self.slots < max_slots:
+                self.step()
+        except Exception:
+            _spans.finish_span(self._span, status="error")
+            raise
+        return self.finish()
+
+    def _step(self) -> None:
+        t = self.slots
+        self.slots += 1
+        self._deliver(t)
+        self._check_repair(t)
+        rates = [self.rate_fn(i, t) for i in range(len(self.sessions))]
+        if self._robust is not None:
+            rates = self._robust.adjust_rates(rates, self.sessions)
+        total = sum(rates)
+        if total > self.download_cap_kbps > 0:
+            scale = self.download_cap_kbps / total
+            rates = [r * scale for r in rates]
+        complete = self._stop_at is not None
+        # All peers transmit concurrently within the slot: every granted
+        # budget flows even if an earlier peer's messages would already
+        # complete the decode (surplus is simply never offered).
+        quiet = complete  # nobody handshaking or sending after completion
+        for i, (session, rate) in enumerate(zip(self.sessions, rates)):
+            if self._dead[i]:
+                continue
+            if t < self._handshake[i]:
+                quiet = False
+                continue
+            if complete:
+                # A peer keeps sending until the stop reaches it.
+                if t >= self._stop_at[i]:
+                    session.stop(self._stop)
+                elif session.active and rate > 0:
+                    quiet = False
+                    budget = kbps_to_bytes(rate, self.slot_seconds)
+                    self._wasted += budget
+                    if _OBS.enabled:
+                        _XFER_WASTED.inc(budget)
+                    self._serve(i, session, budget, t)
+                continue
+            if not session.active or rate <= 0:
+                continue
+            budget = kbps_to_bytes(rate, self.slot_seconds)
+            self._per_peer[i] += budget
+            self._total_bytes += budget
+            if _OBS.enabled:
+                _XFER_BYTES.inc(budget)
+            if self._first_data_slot is None:
+                self._first_data_slot = t
+            served = self._serve(i, session, budget, t)
+            if self._robust is not None:
+                self._robust.note_served(i, len(served), budget, t)
+            arrival = t + self._delivery[i]
+            self._inflight.extend((arrival, i, d.message) for d in served)
+        self._deliver(t)
+        if self._stop_at is not None:
+            self._finished = (quiet and not self._inflight) or all(
+                t >= s for s in self._stop_at
+            )
+
+    def _serve(self, peer: int, session, budget: float, t: int) -> list:
+        """Serve one grant; under a policy a crash is recorded, not raised
+        (messages completed before the cut still count)."""
+        try:
+            return session.serve(budget)
+        except SessionCrashed as exc:
+            if self._robust is None:
+                raise
+            self._robust.note_crash(peer, t, exc)
+            return list(exc.delivered)
+
+    def _deliver(self, t: int) -> None:
+        """Offer in-flight messages that have arrived by slot ``t``, in
+        arrival order, until the decode completes."""
+        if self.decoder.is_complete or not self._inflight:
+            return
+        due = [entry for entry in self._inflight if entry[0] <= t]
+        if not due:
+            return
+        self._inflight = [entry for entry in self._inflight if entry[0] > t]
+        store = self.policy.digest_store if self.policy is not None else None
+        if store is None:
+            # One batched elimination pass over everything that arrived.
+            outcomes = self.decoder.offer_many([message for _, _, message in due])
+            for (_, peer, _), outcome in zip(due, outcomes):
+                self._count(outcome, peer, t)
+            consumed = len(outcomes)
+        else:
+            # Per message: a failed digest quarantines its peer, and
+            # nothing after completion is verified (post-completion
+            # pollution stays out of the taxonomy).
+            consumed = 0
+            for _, peer, message in due:
+                if self.decoder.is_complete:
+                    break
+                consumed += 1
+                if self._robust.verify(peer, message, t):
+                    self._count(self.decoder.offer(message), peer, t)
+        # Arrivals behind the completing message were sent regardless;
+        # they stay in flight and are never offered.
+        self._inflight.extend(due[consumed:])
+        if self.decoder.is_complete:
+            self._complete(t)
+
+    def _count(self, outcome, peer: int, t: int) -> None:
+        name = getattr(outcome, "name", str(outcome))
+        if _OBS.enabled:
+            _XFER_MESSAGES.inc()
+        _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
+        if name in ("ACCEPTED", "COMPLETE"):
+            self._delivered += 1
+        elif name == "DEPENDENT":
+            self._dependent += 1
+        else:
+            self._rejected += 1
+
+    def _complete(self, t: int) -> None:
+        """Step 5: send the stop; each peer hears it after its stop lag."""
+        _TRACER.emit(
+            TRANSFER_COMPLETE,
+            slot=t,
+            delivered=self._delivered,
+            dependent=self._dependent,
+            rejected=self._rejected,
+        )
+        self._stop_at = [t + lag for lag in self._stop_lag]
+        for i, lag in enumerate(self._stop_lag):
+            if lag == 0:
+                self.sessions[i].stop(self._stop)
+            if _OBS.enabled:
+                _XFER_STOP_LAG.observe(lag)
+            _TRACER.emit(TRANSFER_STOP, peer=i, slot=t + lag, lag_slots=lag)
+
+    def _check_repair(self, slot: int) -> None:
         """Fire the repair trigger when surviving supply can't finish.
 
         ``supply`` counts undelivered messages across sessions that are
@@ -465,392 +690,7 @@ class ParallelDownloader:
         supply = sum(
             int(getattr(session, "remaining", 0))
             for i, session in enumerate(self.sessions)
-            if (dead is None or not dead[i]) and session.active
+            if not self._dead[i] and session.active
         )
         if self.repair.should_fire(needed, supply, slot):
             self.repair.fire(needed, slot)
-
-    def run(self, max_slots: int, file_id: int | None = None) -> DownloadReport:
-        """Step until decode completes or ``max_slots`` elapse.
-
-        With a latency model, the run additionally models handshake
-        delay, in-flight message delay, and the stop-transmission lag
-        (bytes sent meanwhile are reported as ``wasted_bytes``).
-        """
-        _TRACER.emit(
-            TRANSFER_START,
-            peers=len(self.sessions),
-            file_id=file_id if file_id is not None else -1,
-        )
-        with _spans.span_scope(
-            "transfer.download",
-            peers=len(self.sessions),
-            file_id=file_id if file_id is not None else -1,
-        ):
-            # One causal span per serving session, parented under the
-            # download root; quarantine/retry children attach to these.
-            peer_spans = self._start_peer_spans()
-            if self.latency is not None:
-                report = self._run_with_latency(max_slots, file_id, peer_spans)
-            elif self.policy is not None:
-                report = self._run_robust(max_slots, file_id, peer_spans)
-            else:
-                report = self._run_plain(max_slots, file_id)
-            self._finish_peer_spans(peer_spans, report)
-            return report
-
-    def _start_peer_spans(self) -> list | None:
-        if not _TRACER.enabled:
-            return None
-        return [
-            _spans.start_span("transfer.peer", peer=i)
-            for i in range(len(self.sessions))
-        ]
-
-    def _finish_peer_spans(self, peer_spans: list | None, report) -> None:
-        if peer_spans is None:
-            return
-        kind_of = {f.peer: f.kind for f in report.failures}
-        for i, handle in enumerate(peer_spans):
-            _spans.finish_span(handle, status=kind_of.get(i, "ok"))
-
-    def _run_plain(self, max_slots: int, file_id: int | None) -> DownloadReport:
-        per_peer = [0.0] * len(self.sessions)
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        slots = 0
-        for t in range(max_slots):
-            if self.decoder.is_complete:
-                break
-            self._check_repair(t)
-            rates = [self.rate_fn(i, t) for i in range(len(self.sessions))]
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-            slots += 1
-            # All peers transmit concurrently within the slot, so every
-            # active session's budget flows even if an earlier session's
-            # messages already completed the decode; surplus messages
-            # are simply not offered (they were in flight regardless).
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                # offer_many consumes arrivals in order until the decode
-                # completes (surplus is ignored, as before) and runs the
-                # elimination of the whole batch in one kernel pass.
-                served = session.serve(budget)
-                outcomes = self.decoder.offer_many(d.message for d in served)
-                for outcome in outcomes:
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=i, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            if self.decoder.is_complete:
-                # Step 5: tell every peer to stop transmitting.
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                stop = StopTransmission(file_id=file_id if file_id is not None else -1)
-                for i, session in enumerate(self.sessions):
-                    session.stop(stop)
-                    # Without a latency model the stop is heard instantly.
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(0)
-                    _TRACER.emit(TRANSFER_STOP, peer=i, slot=t, lag_slots=0)
-                break
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            slot_seconds=self.slot_seconds,
-        )
-
-    def _run_robust(
-        self, max_slots: int, file_id: int | None, peer_spans: list | None = None
-    ) -> DownloadReport:
-        """Failure-aware variant of the plain path (``policy`` set).
-
-        Differences from the trusting loop: every message is digest
-        verified before it may reach the decoder, peers are quarantined
-        on pollution / stall / crash, and dead peers' slot budget is
-        re-scaled across the healthy ones.
-        """
-        n = len(self.sessions)
-        state = _RobustState(n, self.policy, self.sessions, peer_spans=peer_spans)
-        per_peer = [0.0] * n
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        slots = 0
-        for t in range(max_slots):
-            if self.decoder.is_complete:
-                break
-            self._check_repair(t, dead=state.dead)
-            rates = state.adjust_rates(
-                [self.rate_fn(i, t) for i in range(n)], self.sessions
-            )
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-            slots += 1
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if state.dead[i] or not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                try:
-                    served = session.serve(budget)
-                except SessionCrashed as exc:
-                    # Messages completed before the cut still count.
-                    served = list(exc.delivered)
-                    state.note_crash(i, t, exc)
-                state.note_served(i, len(served), budget, t)
-                # Stays per-message (no offer_many): verification outcomes
-                # feed quarantine decisions that can change mid-batch, so
-                # batching here would reorder verify/offer interleaving.
-                for data in served:
-                    if self.decoder.is_complete:
-                        break  # already decodable; surplus is ignored
-                    if not state.verify(i, data.message, t):
-                        continue  # discarded; never reaches the decoder
-                    outcome = self.decoder.offer(data.message)
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=i, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            if self.decoder.is_complete:
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                stop = StopTransmission(file_id=file_id if file_id is not None else -1)
-                for i, session in enumerate(self.sessions):
-                    session.stop(stop)
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(0)
-                    _TRACER.emit(TRANSFER_STOP, peer=i, slot=t, lag_slots=0)
-                break
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            slot_seconds=self.slot_seconds,
-            failures=state.failures(),
-        )
-
-    def _run_with_latency(
-        self, max_slots: int, file_id: int | None, peer_spans: list | None = None
-    ) -> DownloadReport:
-        """Latency-aware variant of :meth:`run`.
-
-        Sessions start serving only after their handshake round trips;
-        completed messages spend half an RTT in flight before reaching
-        the decoder; and after decoding completes, each peer keeps
-        transmitting until the stop message arrives — those bytes are
-        accounted separately as waste.  With a ``policy`` the robust
-        book-keeping (verification, quarantine, stall timeouts, crash
-        survival, budget re-scaling) applies on top.
-        """
-        n = len(self.sessions)
-        state = (
-            _RobustState(n, self.policy, self.sessions, peer_spans=peer_spans)
-            if self.policy is not None
-            else None
-        )
-        per_peer = [0.0] * n
-        delivered = rejected = dependent = 0
-        total_bytes = 0.0
-        wasted = 0.0
-        first_data_slot = None
-        inflight: list[tuple[int, int, object]] = []  # (arrival, peer, message)
-        complete_slot: int | None = None
-        stop_deadline = [None] * n  # slot at which peer i hears the stop
-        slots = 0
-
-        for t in range(max_slots):
-            slots += 1
-            # Deliver in-flight messages that have arrived.
-            if state is None:
-                # Trusting path: drain every due arrival in one batched
-                # elimination pass.  offer_many consumes the due prefix
-                # until the decode completes; unconsumed due messages
-                # stay in flight (they were in flight regardless), in
-                # their original queue order.
-                due = [j for j, (arrival, _, _) in enumerate(inflight) if arrival <= t]
-                outcomes = self.decoder.offer_many(inflight[j][2] for j in due)
-                consumed = set(due[: len(outcomes)])
-                still_flying = [
-                    entry for j, entry in enumerate(inflight) if j not in consumed
-                ]
-                for pos, outcome in enumerate(outcomes):
-                    peer = inflight[due[pos]][1]
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            else:
-                # Robust path stays per-message: verification outcomes
-                # feed quarantine decisions that can change mid-batch.
-                still_flying = []
-                for arrival, peer, message in inflight:
-                    if arrival > t or self.decoder.is_complete:
-                        still_flying.append((arrival, peer, message))
-                        continue
-                    if not state.verify(peer, message, t):
-                        continue  # discarded; never reaches the decoder
-                    outcome = self.decoder.offer(message)
-                    name = getattr(outcome, "name", str(outcome))
-                    if _OBS.enabled:
-                        _XFER_MESSAGES.inc()
-                    _TRACER.emit(TRANSFER_MESSAGE, slot=t, peer=peer, outcome=name)
-                    if name in ("ACCEPTED", "COMPLETE"):
-                        delivered += 1
-                    elif name == "DEPENDENT":
-                        dependent += 1
-                    else:
-                        rejected += 1
-            inflight = still_flying
-
-            if self.decoder.is_complete and complete_slot is None:
-                complete_slot = t
-                _TRACER.emit(
-                    TRANSFER_COMPLETE,
-                    slot=t,
-                    delivered=delivered,
-                    dependent=dependent,
-                    rejected=rejected,
-                )
-                for i, _session in enumerate(self.sessions):
-                    stop_deadline[i] = t + self.latency.stop_slots(i)
-                    if _OBS.enabled:
-                        _XFER_STOP_LAG.observe(self.latency.stop_slots(i))
-                    _TRACER.emit(
-                        TRANSFER_STOP,
-                        peer=i,
-                        slot=stop_deadline[i],
-                        lag_slots=self.latency.stop_slots(i),
-                    )
-
-            rates = [self.rate_fn(i, t) for i in range(n)]
-            if state is not None:
-                rates = state.adjust_rates(rates, self.sessions)
-            total = sum(rates)
-            if total > self.download_cap_kbps > 0:
-                scale = self.download_cap_kbps / total
-                rates = [r * scale for r in rates]
-
-            everyone_stopped = complete_slot is not None
-            for i, (session, rate) in enumerate(zip(self.sessions, rates)):
-                if state is not None and state.dead[i]:
-                    continue
-                if t < self.latency.handshake_slots(i):
-                    everyone_stopped = False
-                    continue
-                if complete_slot is not None:
-                    # Peer keeps sending until the stop arrives.
-                    if stop_deadline[i] is not None and t >= stop_deadline[i]:
-                        if session.active:
-                            session.stop(
-                                StopTransmission(
-                                    file_id=file_id if file_id is not None else -1
-                                )
-                            )
-                        continue
-                    if session.active and rate > 0:
-                        budget = kbps_to_bytes(rate, self.slot_seconds)
-                        wasted += budget
-                        if _OBS.enabled:
-                            _XFER_WASTED.inc(budget)
-                        try:
-                            session.serve(budget)
-                        except SessionCrashed as exc:
-                            if state is None:
-                                raise
-                            state.note_crash(i, t, exc)
-                        everyone_stopped = False
-                    continue
-                if not session.active or rate <= 0:
-                    continue
-                budget = kbps_to_bytes(rate, self.slot_seconds)
-                per_peer[i] += budget
-                total_bytes += budget
-                if _OBS.enabled:
-                    _XFER_BYTES.inc(budget)
-                if first_data_slot is None:
-                    first_data_slot = t
-                try:
-                    served = session.serve(budget)
-                except SessionCrashed as exc:
-                    if state is None:
-                        raise
-                    served = list(exc.delivered)
-                    state.note_crash(i, t, exc)
-                if state is not None:
-                    state.note_served(i, len(served), budget, t)
-                for data in served:
-                    inflight.append(
-                        (t + self.latency.delivery_slots(i), i, data.message)
-                    )
-            if complete_slot is not None and everyone_stopped and not inflight:
-                break
-            if (
-                complete_slot is not None
-                and all(d is not None and t >= d for d in stop_deadline)
-            ):
-                break
-
-        return DownloadReport(
-            complete=self.decoder.is_complete,
-            slots=slots,
-            bytes_received=total_bytes,
-            messages_delivered=delivered,
-            messages_rejected=rejected,
-            messages_dependent=dependent,
-            per_peer_bytes=tuple(per_peer),
-            wasted_bytes=wasted,
-            first_data_slot=first_data_slot,
-            slot_seconds=self.slot_seconds,
-            failures=state.failures() if state is not None else (),
-        )

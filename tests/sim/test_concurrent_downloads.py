@@ -86,6 +86,26 @@ class TestConcurrent:
         assert slow.complete
         assert slow.slots > fast.slots
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"download_cap_kbps": 5.0}, {"max_slots": 3}],
+        ids=["uncapped", "capped", "slots-exhausted"],
+    )
+    def test_single_request_is_download(self, blobs, kw):
+        """One request through download_concurrently is download():
+        same bytes, slots and per-chunk reports, bit for bit (uneven
+        capacities under a binding cap make every rounding visible)."""
+
+        def fresh():
+            net = FileSharingNetwork(
+                [350.0, 410.0, 530.0, 270.0], params=PARAMS, seed=8
+            )
+            net.publish(owner=0, name="a", data=blobs[0])
+            return net
+
+        (concurrent,) = fresh().download_concurrently([(2, "a")], **kw)
+        assert concurrent == fresh().download(2, "a", **kw)
+
     def test_sequential_state_clean_after_concurrent(self, net, blobs):
         net.publish(owner=0, name="a", data=blobs[0])
         net.download_concurrently([(0, "a"), (1, "a")])

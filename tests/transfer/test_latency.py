@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.repair import DownloadRepairTrigger
 from repro.rlnc import CodingParams, FileEncoder, ProgressiveDecoder
 from repro.security import DigestStore, generate_keypair
 from repro.storage import MessageStore
@@ -71,7 +72,10 @@ class TestLatencyEffects:
             s2, d2, lambda i, t: 100.0, latency=LatencyModel([0.0, 0.0])
         ).run(1000, FILE_ID)
         assert zero.complete and plain.complete
-        assert zero.messages_delivered == plain.messages_delivered
+        # Zero RTT is exactly the plain run: same-slot delivery, an
+        # instant stop, no waste — the whole report matches.
+        assert zero.to_dict() == plain.to_dict()
+        assert zero.slots == 1 and zero.first_data_slot == 0
         assert zero.wasted_bytes == 0.0
 
     def test_handshake_delays_first_byte(self, rng, keys):
@@ -119,6 +123,35 @@ class TestLatencyEffects:
         ).run(2000, FILE_ID)
         assert report.complete
         assert report.per_peer_bytes[0] > report.per_peer_bytes[1] > 0
+
+    def test_repair_fires_under_latency(self, rng, keys):
+        """Supply short of k: the repair trigger restocks a live peer
+        mid-download and the latency run still completes."""
+        data = rng.bytes(500)
+        store = DigestStore()
+        encoder = FileEncoder(PARAMS, b"s", file_id=FILE_ID)
+        bundles = encoder.encode_bundles(data, n_peers=3, digest_store=store).bundles
+        stores = [MessageStore() for _ in range(2)]
+        sessions = []
+        for mstore, bundle in zip(stores, bundles):
+            mstore.add_messages(bundle, limit=3)  # 2 x 3 < k = 8
+            serving = ServingSession(mstore, keys.public)
+            DownloadSession(keys).handshake(serving, FILE_ID)
+            sessions.append(serving)
+        decoder = ProgressiveDecoder(PARAMS, encoder.coefficients, store)
+        trigger = DownloadRepairTrigger(
+            hook=lambda needed: stores[1].add_messages(bundles[2])
+        )
+        report = ParallelDownloader(
+            sessions,
+            decoder,
+            lambda i, t: 2.0,
+            latency=LatencyModel([1.0, 2.0]),
+            repair=trigger,
+        ).run(200, FILE_ID)
+        assert trigger.fires == 1 and trigger.injected == PARAMS.k
+        assert report.complete
+        assert decoder.result(len(data)) == data
 
     def test_incomplete_when_slots_exhausted(self, rng, keys):
         data, sessions, decoder = build(rng, 1, keys)

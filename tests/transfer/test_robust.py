@@ -71,13 +71,6 @@ class TestPollution:
         assert decoder.rejected == 0
         assert report.messages_rejected == 0
 
-    def test_quarantine_threshold_respected(self, rng, keys):
-        plan = FaultPlan(seed=1, faults={0: PeerFault("pollute")})
-        data, sessions, decoder, digests = build(rng, 2, keys, plan)
-        report = run(sessions, decoder, digests, quarantine_after=3)
-        assert report.complete
-        assert report.failure_of(0).messages_discarded >= 3
-
     def test_no_digest_store_disables_filtering(self, rng, keys):
         # Without the carried digests the robust path cannot tell
         # pollution apart; the decoder's own consistency check is the
@@ -163,12 +156,6 @@ class TestRedistribution:
         # Peer 1 absorbs peer 0's share: 40 kbps -> 5000 B/slot.
         assert report.per_peer_bytes[1] / report.slots == pytest.approx(5000.0)
 
-    def test_redistribution_can_be_disabled(self, rng, keys):
-        plan = FaultPlan(seed=1, faults={0: PeerFault("refuse")})
-        data, sessions, decoder, digests = build(rng, 2, keys, plan)
-        report = run(sessions, decoder, digests, rate=20.0, redistribute=False)
-        assert report.per_peer_bytes[1] / report.slots == pytest.approx(2500.0)
-
 
 class TestBitIdentical:
     def test_policy_none_matches_legacy_report(self, rng, keys):
@@ -220,7 +207,6 @@ class TestPolicyValidation:
         "kw",
         [
             {"stall_timeout_slots": 0},
-            {"quarantine_after": 0},
             {"max_handshake_attempts": 0},
             {"backoff_slots": -1},
         ],
