@@ -33,11 +33,13 @@ class DigestStore:
 
     The owner populates it at encode time; a downloader carries (or
     fetches) the relevant slice and calls :meth:`verify` on every
-    received message before feeding it to the decoder.
+    received message before feeding it to the decoder.  Digests are
+    indexed by file first, so a slice costs the size of that file's
+    table, not of everything the owner holds.
     """
 
     algorithm: str = "md5"
-    _digests: dict[tuple[int, int], bytes] = field(default_factory=dict)
+    _digests: dict[int, dict[int, bytes]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.algorithm not in DIGEST_ALGORITHMS:
@@ -52,7 +54,7 @@ class DigestStore:
     def record(self, file_id: int, message_id: int, payload: bytes) -> bytes:
         """Store and return the digest for a freshly encoded message."""
         digest = self._digest(payload)
-        self._digests[(file_id, message_id)] = digest
+        self._digests.setdefault(file_id, {})[message_id] = digest
         return digest
 
     def verify(self, file_id: int, message_id: int, payload: bytes) -> bool:
@@ -70,7 +72,7 @@ class DigestStore:
         published yet.  Digest-length inputs are cheap, so the
         constant-time discipline costs nothing.
         """
-        expected = self._digests.get((file_id, message_id))
+        expected = self._digests.get(file_id, {}).get(message_id)
         return expected is not None and hmac.compare_digest(
             self._digest(payload), expected
         )
@@ -83,20 +85,18 @@ class DigestStore:
 
     def slice_for_file(self, file_id: int) -> dict[int, bytes]:
         """Digests for one file — what a remote user carries when the
-        owning peer is off-line (Section III-C)."""
-        return {
-            mid: d for (fid, mid), d in self._digests.items() if fid == file_id
-        }
+        owning peer is off-line (Section III-C).  A copy: the caller
+        may keep or change it without touching this store."""
+        return dict(self._digests.get(file_id, {}))
 
     def merge(self, file_id: int, digests: dict[int, bytes]) -> None:
         """Load a carried digest slice into a fresh (user-side) store."""
-        for mid, d in digests.items():
-            self._digests[(file_id, mid)] = d
+        self._digests.setdefault(file_id, {}).update(digests)
 
     def overhead_bytes(self, file_id: int) -> int:
         """Total digest bytes a user must carry for ``file_id``."""
         size = hashlib.new(self.algorithm).digest_size
-        return size * len(self.slice_for_file(file_id))
+        return size * len(self._digests.get(file_id, {}))
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return sum(len(table) for table in self._digests.values())

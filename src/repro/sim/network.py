@@ -28,6 +28,7 @@ from ..security.integrity import DigestStore
 from ..security.keys import KeyPair, generate_keypair
 from ..security.prng import derive_key
 from ..storage.store import MessageStore
+from ..transfer.protocol import FileRequest
 from ..transfer.scheduler import DownloadReport, ParallelDownloader
 from ..transfer.session import DownloadSession, ServingSession
 from .demand import BernoulliDemand, DemandProcess, ManualDemand
@@ -600,7 +601,11 @@ class FileSharingNetwork:
 
 class _Fetch:
     """One user's in-order, chunk-by-chunk fetch of one published file,
-    advanced a slot at a time by :meth:`FileSharingNetwork._fetch`."""
+    advanced a slot at a time by :meth:`FileSharingNetwork._fetch`.
+
+    The user authenticates to each peer once, the first time a chunk
+    needs it, and re-requests later chunks over that session; a new
+    fetch authenticates afresh."""
 
     def __init__(
         self,
@@ -636,6 +641,7 @@ class _Fetch:
         self.downloader: ParallelDownloader | None = None
         self.reports: list[DownloadReport] = []
         self.slots = 0
+        self.sessions: dict[int, ServingSession] = {}
         # This slot's allocation toward the user, read by the rate
         # function (a cell, so the downloader holds no cycle back here).
         self._row = [None]
@@ -645,8 +651,8 @@ class _Fetch:
         return self.index >= self.manifest.n_chunks
 
     def open_chunk(self) -> None:
-        """Locate the chunk's holders, authenticate to each and start its
-        download."""
+        """Locate the chunk's holders, request the chunk from each
+        (authenticating to peers not yet met) and start its download."""
         net = self.net
         chunk_id = self.manifest.chunk_ids[self.index]
         chunk_peers = self.peers if self.peers is not None else list(range(net.n))
@@ -660,8 +666,12 @@ class _Fetch:
         keys = net.keypairs[self.user]
         sessions = []
         for j in chunk_peers:
-            serving = ServingSession(net.stores[j], keys.public)
-            DownloadSession(keys).handshake(serving, chunk_id)
+            serving = self.sessions.get(j)
+            if serving is None:
+                serving = self.sessions[j] = ServingSession(net.stores[j], keys.public)
+                DownloadSession(keys).handshake(serving, chunk_id)
+            else:
+                serving.accept_request(FileRequest(chunk_id))
             sessions.append(serving)
         repair = None
         if self.repair_threshold is not None:

@@ -1,9 +1,11 @@
-"""Peer- and user-side session state machines for one download.
+"""Peer- and user-side session state machines for one (user, peer) pair.
 
 A :class:`ServingSession` lives at the peer: it refuses to stream until
 challenge-response authentication succeeds, then serves its stored
 messages serially (Fig. 3) at whatever per-slot byte budget the
-allocation layer grants, and honours the stop transmission.
+allocation layer grants, and honours the stop transmission.  Once a
+stream is stopped or exhausted the session is back to authenticated
+and the same user may request the next file without a new handshake.
 
 A :class:`DownloadSession` lives at the user: it runs the prover side of
 the handshake and tracks per-peer progress.  Fractional messages carry
@@ -38,13 +40,28 @@ _SERVE_MESSAGES = _OBS.counter(
 _SERVE_BYTES = _OBS.counter(
     "repro.transfer.serve.bytes", "byte budget consumed by serving peers"
 )
+_HANDSHAKES = _OBS.counter(
+    "repro.transfer.handshakes", "challenge-response handshakes completed"
+)
 _HANDSHAKE_RETRIES = _OBS.counter(
     "repro.transfer.handshake.retries", "handshake attempts that failed and were retried"
 )
 
 
 class ServingSession:
-    """One peer's server-side state for one (user, file) download."""
+    """One peer's server-side state for one authenticated user.
+
+    States: unauthenticated until :meth:`complete_auth` succeeds, then
+    AUTHENTICATED; :meth:`accept_request` opens a cursor over one file
+    (SERVING); a stop or an exhausted cursor returns the session to
+    AUTHENTICATED, ready for the next request, and so does a fresh
+    successful handshake (which closes any open stream).  A request
+    before authentication, or while a cursor is still streaming, is a
+    :class:`~repro.transfer.protocol.ProtocolError`.
+
+    ``bytes_sent`` and ``messages_sent`` are cumulative over every file
+    the session has served.
+    """
 
     def __init__(self, store: MessageStore, trusted_key: PublicKey):
         self._store = store
@@ -65,12 +82,18 @@ class ServingSession:
         self._authenticated = self._verifier.verify(
             response.challenge, response.response
         )
+        if self._authenticated:
+            self._cursor = None
         return self._authenticated
 
     def accept_request(self, request: FileRequest) -> FileAccept:
         if not self._authenticated:
             raise ProtocolError("file requested before authentication")
+        if self.active:
+            raise ProtocolError("file requested while another is streaming")
         self._cursor = self._store.open_cursor(request.file_id)
+        self._partial_bytes = 0.0
+        self._stopped = False
         return FileAccept(
             file_id=request.file_id, available_messages=self._cursor.remaining
         )
@@ -162,6 +185,8 @@ class DownloadSession:
         if not serving.complete_auth(self.answer(challenge)):
             raise ProtocolError("authentication rejected by serving peer")
         self.authenticated = True
+        if _OBS.enabled:
+            _HANDSHAKES.inc()
         self.accepted = serving.accept_request(FileRequest(file_id))
         return self.accepted
 

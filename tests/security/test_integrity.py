@@ -19,6 +19,9 @@ class TestRecordVerify:
     def test_unknown_message_fails_closed(self):
         store = DigestStore()
         assert not store.verify(9, 9, b"anything")
+        store.record(1, 0, b"a")
+        assert not store.verify(1, 1, b"a")  # known file, unknown message
+        assert not store.verify(2, 0, b"a")
 
     def test_require(self):
         store = DigestStore()
@@ -74,6 +77,30 @@ class TestSlices:
         store.record(1, 1, b"x")
         store.record(1, 2, b"y")
         assert len(store) == 2
+
+    def test_slices_match_brute_force_scan(self):
+        store = DigestStore()
+        recorded = {}
+        for fid in (3, 7, 0x1F, 1 << 40):
+            for mid in range(fid % 5 + 2):
+                payload = f"{fid}/{mid}".encode()
+                recorded[(fid, mid)] = store.record(fid, mid, payload)
+        store.merge(7, {100: b"\x01" * 16})
+        recorded[(7, 100)] = b"\x01" * 16
+        for fid in (3, 7, 0x1F, 1 << 40, 99):
+            brute = {mid: d for (f, mid), d in recorded.items() if f == fid}
+            assert store.slice_for_file(fid) == brute
+            assert store.overhead_bytes(fid) == 16 * len(brute)
+        assert len(store) == len(recorded)
+
+    def test_slice_is_a_copy(self):
+        store = DigestStore()
+        store.record(1, 0, b"a")
+        carried = store.slice_for_file(1)
+        carried[5] = b"\x00" * 16
+        carried.pop(0)
+        assert store.slice_for_file(1).keys() == {0}
+        assert not store.verify(1, 5, b"")
 
 
 class TestOverhead:
@@ -131,5 +158,5 @@ class TestConstantTimeComparison:
         digest = store.record(1, 0, b"payload")
         # Plant an almost-identical digest under another id and check
         # the true payload does not verify against it.
-        store._digests[(1, 1)] = digest[:-1] + bytes([digest[-1] ^ 1])
+        store.merge(1, {1: digest[:-1] + bytes([digest[-1] ^ 1])})
         assert not store.verify(1, 1, b"payload")

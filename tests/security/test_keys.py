@@ -1,6 +1,11 @@
 """Unit tests for RSA key material."""
 
+import dataclasses
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.security import generate_keypair, is_probable_prime
 
@@ -69,6 +74,30 @@ class TestSignVerify:
 
     def test_signature_deterministic(self, kp):
         assert kp.private.sign(b"m") == kp.private.sign(b"m")
+
+
+class TestCRT:
+    @settings(max_examples=16, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        bits=st.sampled_from([64, 128, 512, 1024]),
+        message=st.binary(max_size=64),
+        value=st.integers(min_value=0),
+    )
+    def test_matches_textbook_rsa(self, seed, bits, message, value):
+        private = generate_keypair(bits=bits, seed=seed).private
+        digest = int.from_bytes(hashlib.sha256(message).digest(), "big")
+        n, d = private.n, private.d
+        assert private.sign(message) == pow(digest % n, d, n)
+        x = value % n
+        assert private.decrypt(pow(x, private.e, n)) == x
+
+    def test_faulty_half_raises_instead_of_signing(self):
+        private = generate_keypair(bits=512, seed=42).private
+        faulty = dataclasses.replace(private, dp=private.dp ^ 1)
+        with pytest.raises(ArithmeticError):
+            faulty.sign(b"challenge")
+        assert private.sign(b"challenge")  # the intact key still signs
 
 
 class TestEncryptDecrypt:

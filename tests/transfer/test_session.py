@@ -15,6 +15,8 @@ from repro.transfer import (
 
 PARAMS = CodingParams(p=16, m=32, file_bytes=512)  # k = 8
 FILE_ID = 0x22
+OTHER_ID = 0x23
+MSG = 16 + PARAMS.message_bytes  # wire bytes of one message
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,8 @@ def store(rng):
     encoded = encoder.encode_bundles(rng.bytes(500), n_peers=1)
     s = MessageStore()
     s.add_messages(encoded.bundles[0])
+    other = FileEncoder(PARAMS, b"t", file_id=OTHER_ID)
+    s.add_messages(other.encode_bundles(rng.bytes(500), n_peers=1).bundles[0])
     return s
 
 
@@ -49,6 +53,9 @@ class TestHandshake:
         assert serving.active
 
     def test_request_before_auth_rejected(self, serving):
+        with pytest.raises(ProtocolError):
+            serving.accept_request(FileRequest(FILE_ID))
+        serving.begin_auth()  # challenged, never answered
         with pytest.raises(ProtocolError):
             serving.accept_request(FileRequest(FILE_ID))
 
@@ -112,3 +119,74 @@ class TestServing:
         delivered = serving.serve(10**9)
         expected = [m.message_id for m in store.messages(FILE_ID)]
         assert [d.message.message_id for d in delivered] == expected
+
+
+class TestReRequest:
+    """One authenticated session serves file after file: SERVING returns
+    to AUTHENTICATED on a stop or an exhausted cursor."""
+
+    def ids(self, delivered):
+        return [d.message.message_id for d in delivered]
+
+    def test_after_stop_serves_new_file_from_first_message(
+        self, serving, store, user_keys
+    ):
+        authed(serving, user_keys)
+        assert len(serving.serve(1.5 * MSG)) == 1  # half a message pending
+        serving.stop(StopTransmission(FILE_ID))
+        accept = serving.accept_request(FileRequest(OTHER_ID))
+        assert accept.file_id == OTHER_ID
+        assert accept.available_messages == PARAMS.k
+        assert serving.active
+        # The stopped stream's half message is not carried over.
+        assert serving.serve(0.6 * MSG) == []
+        delivered = serving.serve(0.4 * MSG)
+        first = store.messages(OTHER_ID)[0].message_id
+        assert self.ids(delivered) == [first]
+
+    def test_after_exhausted_cursor(self, serving, store, user_keys):
+        authed(serving, user_keys)
+        assert len(serving.serve(10**9)) == PARAMS.k
+        assert not serving.active
+        serving.accept_request(FileRequest(OTHER_ID))
+        assert serving.serve(0.9 * MSG) == []
+        expected = [m.message_id for m in store.messages(OTHER_ID)]
+        assert self.ids(serving.serve(10**9)) == expected
+        # And back to the first file, from its first message again.
+        serving.accept_request(FileRequest(FILE_ID))
+        expected = [m.message_id for m in store.messages(FILE_ID)]
+        assert self.ids(serving.serve(10**9)) == expected
+
+    def test_re_request_while_streaming_rejected(self, serving, user_keys):
+        authed(serving, user_keys)
+        with pytest.raises(ProtocolError):
+            serving.accept_request(FileRequest(OTHER_ID))
+        serving.serve(MSG)
+        with pytest.raises(ProtocolError):
+            serving.accept_request(FileRequest(OTHER_ID))
+        assert len(serving.serve(MSG)) == 1  # the open stream is intact
+
+    def test_failed_auth_cannot_be_re_requested(self, serving):
+        imposter = generate_keypair(bits=512, seed=666)
+        with pytest.raises(ProtocolError):
+            DownloadSession(imposter).handshake(serving, FILE_ID)
+        for file_id in (FILE_ID, OTHER_ID):
+            with pytest.raises(ProtocolError):
+                serving.accept_request(FileRequest(file_id))
+
+    def test_fresh_handshake_closes_open_stream(self, serving, store, user_keys):
+        authed(serving, user_keys)
+        serving.serve(1.5 * MSG)
+        authed(serving, user_keys, OTHER_ID)
+        assert serving.serve(0.6 * MSG) == []  # no half message carried
+        expected = [m.message_id for m in store.messages(OTHER_ID)]
+        assert self.ids(serving.serve(10**9)) == expected
+
+    def test_counters_are_cumulative(self, serving, user_keys):
+        authed(serving, user_keys)
+        serving.serve(2.5 * MSG)
+        serving.stop(StopTransmission(FILE_ID))
+        serving.accept_request(FileRequest(OTHER_ID))
+        serving.serve(10**6)
+        assert serving.messages_sent == 2 + PARAMS.k
+        assert serving.bytes_sent == pytest.approx(2.5 * MSG + 10**6)
