@@ -31,10 +31,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Results-file schema: version 2 adds the optional memory columns
 #: ``peak_rss_bytes`` and ``bytes_per_peer`` next to ``ns_per_op``
-#: (written by the scale points of ``bench_sim_scaling.py``); version 3
-#: adds the process-sharded engine's ``workers`` count and per-shard
-#: ``shards`` accounting (``[lo, hi, bytes_per_peer]`` triples).
-#: Readers of older files need no changes — the new fields are additive.
+#: (written by the scale points of ``bench_sim_scaling.py``).  Readers
+#: of older files need no changes — the new fields are additive.
 BENCH_SCHEMA = 3
 
 

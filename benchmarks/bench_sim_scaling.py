@@ -123,15 +123,12 @@ def sparse_slot_stats(
     n: int,
     slots: int | None = None,
     reps: int = SPARSE_REPS,
-    engine: str = "sparse",
-    workers: int | None = None,
 ):
-    """Median per-slot seconds + engine state bytes for a scale engine.
+    """Median per-slot seconds + engine state bytes for the sparse engine.
 
     Times whole ``run(history="none")`` passes (the engine's fast path
     — ``step()`` would materialise a dense allocation matrix for its
     return value) on fresh simulations, so ledger growth is included.
-    Works for both the sparse and the procs engine (``workers``).
     """
     from repro.sim import sparse_population_sim
 
@@ -145,14 +142,12 @@ def sparse_slot_stats(
             givers=SPARSE_GIVERS,
             slots=slots,
             seed=7,
-            engine=engine,
-            workers=workers,
+            engine="sparse",
         )
-        with sim:
-            start = time.perf_counter()
-            sim.run(slots, history="none")
-            samples.append((time.perf_counter() - start) / slots)
-            state_bytes = sim.memory_bytes()
+        start = time.perf_counter()
+        sim.run(slots, history="none")
+        samples.append((time.perf_counter() - start) / slots)
+        state_bytes = sim.memory_bytes()
     return median(samples), state_bytes
 
 
@@ -192,96 +187,6 @@ def test_sparse_engine_scale_points(benchmark):
     # Per-slot cost tracks the active cohort, not n: generous absolute
     # budget so shared-runner noise cannot flap the job.
     assert stats[100_000][0] < 0.25
-
-
-#: Procs scale point and its worker counts: the tentpole target is the
-#: n=100k cohort population, sharded 1- and 4-way.
-PROCS_N = 100_000
-PROCS_WORKERS = (1, 4)
-
-
-def procs_slot_stats(workers: int):
-    """Per-slot seconds plus per-shard accounting for the procs engine."""
-    from repro.sim import sparse_population_sim
-
-    slots = SPARSE_POINTS[PROCS_N]
-    samples = []
-    shards: list[dict] = []
-    for _ in range(SPARSE_REPS):
-        sim = sparse_population_sim(
-            n=PROCS_N,
-            cohorts=SPARSE_COHORTS,
-            givers=SPARSE_GIVERS,
-            slots=slots,
-            seed=7,
-            engine="procs",
-            workers=workers,
-        )
-        with sim:
-            start = time.perf_counter()
-            sim.run(slots, history="none")
-            samples.append((time.perf_counter() - start) / slots)
-            shards = sim._procs.shard_stats()
-    return median(samples), shards
-
-
-def test_procs_engine_scale_points(benchmark):
-    """The process-sharded engine at the committed n=100k point.
-
-    Records ``sim_step_n100000_procs_w{W}`` entries with the schema-3
-    ``workers`` and per-shard ``shards`` columns, and asserts the
-    tentpole claim: the 4-worker per-slot time beats the PR-8 committed
-    sparse number (the procs engine must earn its IPC).
-    """
-    import json
-    from pathlib import Path
-
-    def run_points():
-        return {w: procs_slot_stats(w) for w in PROCS_WORKERS}
-
-    stats = benchmark.pedantic(run_points, rounds=1, iterations=1)
-    backend = None
-    rows = []
-    results = {}
-    for w, (secs, shards) in stats.items():
-        if backend is None:
-            from repro.sim import Simulation
-
-            with Simulation(_configs(2), engine="procs", workers=1) as probe:
-                backend = probe.backend
-        per_shard = [
-            [s["lo"], s["hi"], round(s["memory_bytes"] / (s["hi"] - s["lo"]), 1)]
-            for s in shards
-        ]
-        worst = max(b for _, _, b in per_shard)
-        rows.append([w, format_seconds(secs), f"{worst:.0f}"])
-        results[f"sim_step_n{PROCS_N}_procs_w{w}"] = {
-            "n": PROCS_N,
-            "engine": "procs",
-            "op": "sim_step",
-            "workers": w,
-            "ns_per_op": int(secs * 1e9),
-            "shards": per_shard,
-            "samples": SPARSE_REPS,
-        }
-    print_header(f"Procs engine scale points at n={PROCS_N} ({backend})")
-    print_table(["workers", "procs/slot", "worst shard B/peer"], rows)
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"wrote {path.name}")
-
-    # Shard state stays O(partners) per peer on every shard.
-    for w, (_, shards) in stats.items():
-        for s in shards:
-            assert s["memory_bytes"] / (s["hi"] - s["lo"]) < 4096
-    # Tentpole: 4-way sharding beats the committed single-process
-    # sparse baseline at the same point.
-    baseline_path = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
-    committed = json.loads(baseline_path.read_text())["results"]
-    sparse_ns = committed[f"sim_step_n{PROCS_N}_sparse"]["ns_per_op"]
-    assert stats[4][0] * 1e9 < sparse_ns, (
-        f"procs w=4 {stats[4][0] * 1e9:.0f} ns/slot does not beat the "
-        f"committed sparse {sparse_ns} ns/slot"
-    )
 
 
 #: Churn bench: four giver generations, eviction age in feedback flushes.
@@ -379,47 +284,4 @@ def test_million_peer_smoke(benchmark):
     assert out["within_cap"], (
         f"million-peer smoke peak RSS {out['peak_rss_bytes']} exceeds "
         f"the documented cap {out['memory_cap_bytes']}"
-    )
-
-
-def test_million_peer_smoke_procs(benchmark):
-    from repro.sim import million_peer_smoke
-
-    def run():
-        start = time.perf_counter()
-        result = million_peer_smoke(engine="procs", workers=4)
-        result["wall_seconds"] = time.perf_counter() - start
-        return result
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_header("Million-peer smoke (procs engine, 4 shards)")
-    print_table(
-        ["n", "slots", "backend", "workers", "state B/peer", "peak rss"],
-        [[
-            out["n"],
-            out["slots"],
-            out["backend"],
-            out["workers"],
-            f"{out['bytes_per_peer']:.0f}",
-            f"{out['peak_rss_bytes'] >> 20}MiB",
-        ]],
-    )
-    results = {
-        "sim_smoke_n1000000_procs": {
-            "n": out["n"],
-            "engine": "procs",
-            "op": "sim_smoke",
-            "workers": out["workers"],
-            "ns_per_op": int(out["wall_seconds"] * 1e9),
-            "bytes_per_peer": round(out["bytes_per_peer"], 1),
-            "peak_rss_bytes": out["peak_rss_bytes"],
-            "samples": 1,
-        }
-    }
-    path = write_bench_json("BENCH_sim.json", results)
-    print(f"wrote {path.name}")
-    assert out["backend"].startswith("procs")
-    assert out["within_cap"], (
-        f"procs million-peer smoke peak RSS {out['peak_rss_bytes']} "
-        f"exceeds the documented cap {out['memory_cap_bytes']}"
     )

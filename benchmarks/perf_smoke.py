@@ -76,26 +76,6 @@ def measure_sim_sparse() -> tuple[str, float, float]:
     return key, seconds, state_bytes / SPARSE_N
 
 
-#: Procs probe: the process-sharded engine on the same n=8192 cohort
-#: population with 2 shards.  Compared against the committed n=8192
-#: *sparse* point (there is no committed procs entry at this size) at
-#: the same generous 3x budget: the probe exists to catch IPC-path
-#: blowups (a broken barrier, a pickling regression), not to race the
-#: single-process engine slot-for-slot on a shared runner.
-PROCS_SMOKE_WORKERS = 2
-
-
-def measure_sim_procs() -> tuple[str, float]:
-    import bench_sim_scaling
-
-    key = f"sim_step_n{SPARSE_N}_procs_w{PROCS_SMOKE_WORKERS}"
-    seconds, _ = bench_sim_scaling.sparse_slot_stats(
-        SPARSE_N, slots=48, reps=1, engine="procs",
-        workers=PROCS_SMOKE_WORKERS,
-    )
-    return key, seconds
-
-
 #: Repair probe: recombination throughput at the committed
 #: ``BENCH_repair.json`` operating point (GF(2^16), m=2^12, 16 helpers
 #: -> 8 fresh messages), reusing the bench module's own measurement.
@@ -215,8 +195,6 @@ def main() -> int:
     sim_ns = int(sim_seconds * 1e9)
     sparse_key, sparse_seconds, sparse_bpp = measure_sim_sparse()
     sparse_ns = int(sparse_seconds * 1e9)
-    procs_key, procs_seconds = measure_sim_procs()
-    procs_ns = int(procs_seconds * 1e9)
     sim_fresh = {
         "schema": 3,
         "results": {
@@ -226,9 +204,6 @@ def main() -> int:
                          "ns_per_op": sparse_ns,
                          "bytes_per_peer": round(sparse_bpp, 1),
                          "samples": 1},
-            procs_key: {"n": SPARSE_N, "engine": "procs", "op": "sim_step",
-                        "workers": PROCS_SMOKE_WORKERS,
-                        "ns_per_op": procs_ns, "samples": 1},
         },
     }
     sim_path = REPO_ROOT / "BENCH_sim.smoke.json"
@@ -240,10 +215,6 @@ def main() -> int:
           f"({sparse_seconds * 1e6:.0f} us/slot, "
           f"{sparse_bpp:.0f} B/peer of engine state)")
     failures += _compare("BENCH_sim.json", sparse_key, sparse_ns)
-    print(f"measured {procs_key}: {procs_ns} ns/op "
-          f"({procs_seconds * 1e6:.0f} us/slot, "
-          f"{PROCS_SMOKE_WORKERS} shard workers)")
-    failures += _compare("BENCH_sim.json", sparse_key, procs_ns)
 
     repair_key, repair_ns = measure_repair()
     repair_fresh = {

@@ -835,10 +835,6 @@ def _simulate(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--faults only applies to the 'faults' and 'repair' scenarios"
         )
-    if args.workers is not None and args.scenario not in ("scale", "churn-scale"):
-        raise SystemExit(
-            "--workers only applies to the 'scale' and 'churn-scale' scenarios"
-        )
     if args.evict_age is not None and args.scenario != "churn-scale":
         raise SystemExit("--evict-age only applies to the 'churn-scale' scenario")
     if args.scenario == "repair":
@@ -909,11 +905,9 @@ def _simulate_scale(args: argparse.Namespace) -> int:
         slots=slots,
         seed=args.seed,
         engine=args.engine,
-        workers=args.workers,
     )
-    with sim:
-        result = sim.run(slots, history="none")
-        state = sim.memory_bytes()
+    result = sim.run(slots, history="none")
+    state = sim.memory_bytes()
     summary = result.summary
     served = float(summary["rate_sum"].sum())
     requests = int(summary["request_count"].sum())
@@ -951,13 +945,11 @@ def _simulate_churn_scale(args: argparse.Namespace) -> int:
         phase_slots=phase_slots,
         seed=args.seed,
         engine=args.engine,
-        workers=args.workers,
         evict_age=args.evict_age,
     )
     slots = phases * phase_slots
-    with sim:
-        result = sim.run(slots, history="none")
-        state = sim.memory_bytes()
+    result = sim.run(slots, history="none")
+    state = sim.memory_bytes()
     summary = result.summary
     served = float(summary["rate_sum"].sum())
     requests = int(summary["request_count"].sum())
@@ -1392,17 +1384,11 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--seed", type=int, default=0)
     simp.add_argument(
         "--engine",
-        choices=("auto", "reference", "batched", "sparse", "procs"),
+        choices=("auto", "reference", "batched", "sparse"),
         default="auto",
         help="slot-loop implementation: 'auto' picks the batched engine, "
-        "the sparse engine for large populations, or the process-sharded "
-        "engine when enough CPUs are usable (all bit-identical to "
-        "'reference')",
-    )
-    simp.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="shard worker processes for the procs engine "
-        "(default: min(4, usable CPUs))",
+        "or the sparse engine for large populations or --evict-age "
+        "(all bit-identical to 'reference')",
     )
     simp.add_argument(
         "--evict-age", type=int, default=None, metavar="EPOCHS",
@@ -1471,8 +1457,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--flow", action="store_true", default=False,
-        help="also run the whole-project flow rules (taint tracking, "
-        "writer discipline) over the call graph",
+        help="also run the whole-project flow rules (taint tracking) "
+        "over the call graph",
     )
     lint.add_argument(
         "--no-flow", dest="flow", action="store_false",

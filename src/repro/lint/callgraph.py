@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for the flow rules.
 
 The per-expression rules in :mod:`repro.lint.rules` see one file at a
-time; the flow rules (determinism/entropy taint, writer discipline)
+time; the flow rules (determinism/entropy and key-material taint)
 need to know *who calls whom* across the whole package.  This module
 builds that picture once per project root:
 
@@ -76,7 +76,7 @@ def project_digests(root: Path) -> dict[str, str]:
 class FunctionInfo:
     """One function or method definition."""
 
-    qualname: str  #: ``repro.sim.procs.ProcsCoordinator.step``
+    qualname: str  #: ``repro.sim.engine.Simulation.step``
     module: str
     path: str
     lineno: int

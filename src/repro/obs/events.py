@@ -17,7 +17,7 @@ one place to read the vocabulary and lets tests assert exhaustively.
 | ``repair.start``    | ``RepairCoordinator.repair``     | ``file_id``, ``epoch``, ``helpers``, ``requested`` |
 | ``repair.done``     | ``RepairCoordinator.repair``     | ``file_id``, ``epoch``, ``produced``, ``degraded`` |
 | ``repair.failed``   | ``RepairCoordinator.repair``     | ``file_id``, ``epoch``, ``attempt``, ``reason`` |
-| ``sim.engine_selected`` | ``Simulation.__init__``      | ``engine``, ``n``, ``reason``, ``workers`` |
+| ``sim.engine_selected`` | ``Simulation.__init__``      | ``engine``, ``n``, ``reason`` |
 | ``sim.slot``        | ``Simulation.step``              | ``t``, ``requesting``, ``allocated_kbps``, ``jain`` |
 | ``sim.feedback``    | ``Simulation.step`` (on flush)   | ``t``, ``credited`` |
 | ``span.start``      | ``obs.spans.start_span``         | ``trace_id``, ``span_id``, ``parent_id``, ``op``, ``attrs`` |
@@ -130,7 +130,7 @@ EVENT_FIELDS = {
     "repair.start": ("file_id", "epoch", "helpers", "requested"),
     "repair.done": ("file_id", "epoch", "produced", "degraded"),
     "repair.failed": ("file_id", "epoch", "attempt", "reason"),
-    "sim.engine_selected": ("engine", "n", "reason", "workers"),
+    "sim.engine_selected": ("engine", "n", "reason"),
     "sim.slot": ("t", "requesting", "allocated_kbps", "jain"),
     "sim.feedback": ("t", "credited"),
     "span.start": ("trace_id", "span_id", "parent_id", "op", "attrs"),

@@ -36,25 +36,11 @@ Three engines produce those slots:
   pure-numpy/:func:`~repro.sim.sparse.sparse_pairwise` fallback.  Cost
   per slot is O(n) bookkeeping plus O(active^2) allocation instead of
   O(n^2).
-* ``procs`` — the sparse engine partitioned over worker *processes*.
-  Peers are split into contiguous shards; each shard owns its slice of
-  the sparse ledger store (plus any dense-island slow rows) and runs
-  sampling, Equation (2)/(3) rows and feasibility for its givers in its
-  own process.  The per-slot O(n) vectors (request indicators,
-  capacities, declared capacities, compact rates) travel through one
-  shared-memory segment, while cross-shard ledger credit moves as
-  explicit ``(givers, takers, amounts)`` delta batches applied by each
-  receiver's owning shard in the same deterministic order as the
-  single-process loop (see :mod:`repro.sim.procs` /
-  :mod:`repro.sim.shardmsg`).  Bit-identical to ``sparse``; worth it
-  when real cores are available to hide the message round-trips.
 
-``engine="auto"`` picks ``batched`` for small populations, ``sparse``
-once ``n`` or the dense engines' memory footprint gets out of hand, and
-``procs`` past a larger population threshold when the machine has spare
-cores (see :meth:`Simulation._auto_engine`), and emits a
-``sim.engine_selected`` trace event recording the choice (including the
-worker-process count, 0 for in-process engines).
+``engine="auto"`` picks ``batched`` for small populations and ``sparse``
+once ``n`` or the dense engines' memory footprint gets out of hand, or
+when ledger eviction is requested (see :meth:`Simulation._auto_engine`),
+and emits a ``sim.engine_selected`` trace event recording the choice.
 
 The engines are **bit-identical**: every batched/sparse expression was
 chosen to perform the same IEEE-754 operations in the same order as the
@@ -112,9 +98,6 @@ _SIM_BATCHED_SLOTS = _OBS.counter(
 _SIM_SPARSE_SLOTS = _OBS.counter(
     "repro.sim.slots.sparse", "slots stepped through the sparse fast path"
 )
-_SIM_PROCS_SLOTS = _OBS.counter(
-    "repro.sim.slots.procs", "slots stepped through the process-sharded engine"
-)
 _SIM_ALLOC_NS = _OBS.histogram(
     "repro.sim.alloc_ns", "nanoseconds per slot spent in allocation + feasibility"
 )
@@ -136,37 +119,9 @@ _TIME_BLOCK = 256
 #: Population size at which ``engine="auto"`` switches to ``sparse``.
 _SPARSE_N_THRESHOLD = 16384
 
-#: Population size past which ``engine="auto"`` prefers process
-#: sharding (``procs``) over single-process ``sparse`` — provided the
-#: machine actually has spare cores (see :func:`_usable_workers`).
-_PROCS_N_THRESHOLD = 65536
-
-#: Cap on the auto-selected worker-process count.
-_PROCS_MAX_WORKERS = 4
-
 #: Cap on the sparse engine's demand/capacity prefetch buffers, so the
 #: time block shrinks instead of the buffers growing with n.
 _BLOCK_BYTES_BUDGET = 64 << 20
-
-
-def _usable_workers() -> int:
-    """CPUs the auto heuristic may spread worker processes over.
-
-    ``REPRO_SIM_THREADS`` caps it explicitly (the same knob that caps
-    the native kernels' pthread shards — a user forcing single-threaded
-    runs means single-*process* too); otherwise the scheduler affinity
-    mask, falling back to the raw CPU count.
-    """
-    env = os.environ.get("REPRO_SIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _available_memory_bytes() -> int | None:
@@ -262,6 +217,11 @@ class Simulation:
         sparse engines bind each peer's allocator/demand/capacity
         strategy at construction; swap strategies mid-run only under
         ``reference``.
+    evict_age:
+        Drop sparse ledger entries unwritten for this many feedback
+        flushes (see :class:`~repro.sim.sparse.SparseLedgers`).  Only
+        the sparse engine evicts: ``"auto"`` then resolves to
+        ``"sparse"``, and the dense engines reject it.
     """
 
     def __init__(
@@ -272,7 +232,6 @@ class Simulation:
         slot_seconds: float = 1.0,
         feedback_interval: int = 1,
         engine: str = "auto",
-        workers: int | None = None,
         evict_age: int | None = None,
     ):
         if not configs:
@@ -283,26 +242,13 @@ class Simulation:
             raise ValueError(
                 f"feedback_interval must be >= 1 slot, got {feedback_interval}"
             )
-        if engine not in ("auto", "reference", "batched", "sparse", "procs"):
+        if engine not in ("auto", "reference", "batched", "sparse"):
             raise ValueError(
-                "engine must be 'auto', 'reference', 'batched', 'sparse' or "
-                f"'procs', got {engine!r}"
+                "engine must be 'auto', 'reference', 'batched' or 'sparse', "
+                f"got {engine!r}"
             )
-        if workers is not None:
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {workers}")
-            if engine not in ("auto", "procs"):
-                raise ValueError(
-                    f"workers only applies to engine='procs' (got {engine!r})"
-                )
-        if evict_age is not None:
-            if evict_age < 1:
-                raise ValueError(f"evict_age must be >= 1, got {evict_age}")
-            if engine in ("reference", "batched"):
-                raise ValueError(
-                    "evict_age needs a sparse-ledger engine "
-                    f"('sparse' or 'procs'), got engine={engine!r}"
-                )
+        if evict_age is not None and evict_age < 1:
+            raise ValueError(f"evict_age must be >= 1, got {evict_age}")
         self.configs = list(configs)
         self.n = len(self.configs)
         self.slot_seconds = float(slot_seconds)
@@ -315,54 +261,20 @@ class Simulation:
         self.feedback_interval = int(feedback_interval)
         self.engine = engine
         if engine == "auto":
-            mode, reason = self._auto_engine(self.n)
+            mode, reason = self._auto_engine(self.n, evict_age)
         else:
             mode, reason = engine, "requested"
+        if evict_age is not None and mode != "sparse":
+            raise ValueError(
+                f"evict_age needs the sparse-ledger engine, got engine={mode!r}"
+            )
         self._mode = mode
         self._evict_age = evict_age
-        if mode == "procs":
-            self._workers = min(
-                self.n,
-                workers
-                if workers is not None
-                else max(1, min(_PROCS_MAX_WORKERS, _usable_workers())),
-            )
-        else:
-            self._workers = 0
-        _TRACER.emit(
-            SIM_ENGINE_SELECTED,
-            engine=mode,
-            n=self.n,
-            reason=reason,
-            workers=self._workers,
-        )
+        _TRACER.emit(SIM_ENGINE_SELECTED, engine=mode, n=self.n, reason=reason)
         self._t = 0
         self._kernels = None
         self._sparse_native = False
         self._batched = mode != "reference"
-        if mode == "procs":
-            from .procs import ProcsCoordinator
-
-            self._credit_matrix = None
-            self._pending_feedback = None
-            self.peers = None
-            self._slow_rows = [
-                i
-                for i, cfg in enumerate(self.configs)
-                if type(cfg.allocator)
-                not in (PeerwiseProportionalAllocator, GlobalProportionalAllocator)
-            ]
-            self._procs = ProcsCoordinator(
-                self.configs,
-                seed=seed,
-                initial_credit=initial_credit,
-                slot_seconds=self.slot_seconds,
-                feedback_interval=self.feedback_interval,
-                workers=self._workers,
-                evict_age=evict_age,
-            )
-            self._sparse_native = self._procs.native
-            return
         if mode == "sparse":
             self._credit_matrix = None
             self._pending_feedback = None
@@ -385,27 +297,19 @@ class Simulation:
             self._init_batched()
 
     @staticmethod
-    def _auto_engine(n: int) -> tuple[str, str]:
-        """Pick the engine for ``engine="auto"``: size *and* memory.
+    def _auto_engine(n: int, evict_age: int | None = None) -> tuple[str, str]:
+        """Pick the engine for ``engine="auto"``: eviction, size, memory.
 
+        Ledger eviction (``evict_age``) exists only in the sparse
+        ledger store, so requesting it selects ``sparse`` at any size.
         The dense engines carry three (n, n) float64 arrays (credit
         matrix, pending feedback, per-slot allocation); require 4x that
         to be available before choosing them, otherwise go sparse even
-        below the population threshold.  Past the procs threshold,
-        populations big enough to amortise the per-slot message
-        round-trips go process-sharded — but only when the machine has
-        at least two usable CPUs (see :func:`_usable_workers`), since a
-        single worker is the sparse loop plus IPC overhead.
+        below the population threshold.
         """
+        if evict_age is not None:
+            return "sparse", f"evict_age={evict_age} needs sparse ledgers"
         if n >= _SPARSE_N_THRESHOLD:
-            if n >= _PROCS_N_THRESHOLD:
-                w = _usable_workers()
-                if w >= 2:
-                    return (
-                        "procs",
-                        f"n={n} >= procs threshold {_PROCS_N_THRESHOLD}, "
-                        f"{w} usable workers",
-                    )
             return "sparse", f"n={n} >= sparse threshold {_SPARSE_N_THRESHOLD}"
         dense_bytes = 3 * 8 * n * n
         avail = _available_memory_bytes()
@@ -585,14 +489,12 @@ class Simulation:
     @property
     def backend(self) -> str:
         """Which slot loop runs: ``reference``, ``batched`` / ``sparse``
-        / ``procs`` (numpy) or ``batched+native`` / ``sparse+native`` /
-        ``procs+native`` (compiled, multi-threaded for sparse)."""
+        (numpy) or ``batched+native`` / ``sparse+native`` (compiled,
+        multi-threaded for sparse)."""
         if self._mode == "reference":
             return "reference"
         if self._mode == "sparse":
             return "sparse+native" if self._sparse_native else "sparse"
-        if self._mode == "procs":
-            return "procs+native" if self._sparse_native else "procs"
         return "batched+native" if self._kernels is not None else "batched"
 
     @property
@@ -608,20 +510,15 @@ class Simulation:
         """
         if self._mode == "sparse":
             return self._ledgers.materialize()
-        if self._mode == "procs":
-            return self._procs.credit_matrix()
         return self._credit_matrix
 
     def memory_bytes(self) -> int:
         """Resident bytes of engine-owned slot-loop state.
 
         Sparse: ledger store + prefetch buffers (the bytes-per-peer
-        benchmark metric).  Procs: the same, summed over the worker
-        shards, plus the shared slot vectors.  Dense: credit matrix +
-        pending feedback + prefetch buffers.
+        benchmark metric).  Dense: credit matrix + pending feedback +
+        prefetch buffers.
         """
-        if self._mode == "procs":
-            return self._procs.memory_bytes()
         if self._mode == "sparse":
             return int(
                 self._ledgers.nbytes
@@ -650,11 +547,8 @@ class Simulation:
         return self._step_dense()
 
     def _step_dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._mode in ("sparse", "procs"):
-            if self._mode == "sparse":
-                act, R, M, requesting, capacities = self._step_sparse()
-            else:
-                act, R, M, requesting, capacities = self._step_procs()
+        if self._mode == "sparse":
+            act, R, M, requesting, capacities = self._step_sparse()
             alloc = np.zeros((self.n, self.n))  # repro: allow[sim-dense-alloc]
             if act.size and R.size:
                 alloc[np.ix_(act, R)] = M
@@ -1183,86 +1077,17 @@ class Simulation:
                 jain=jain,
             )
 
-    # -- process-sharded engine ----------------------------------------
-
-    def _step_procs(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One slot through the worker shards (same contract as
-        :meth:`_step_sparse`; the coordinator runs the three message
-        phases and the workers hold all ledger state)."""
-        t = self._t
-        want_pending = _TRACER.enabled and self.feedback_interval > 1
-        act, R, M, requesting, capacities, flushed, pending = self._procs.step(
-            t, want_pending
-        )
-        if self.feedback_interval == 1:
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    SIM_FEEDBACK,
-                    t=t,
-                    credited=self._sparse_flat_total(
-                        R, act, M, self.slot_seconds, transpose=True
-                    ),
-                )
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
-        elif flushed:
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    SIM_FEEDBACK, t=t, credited=self._procs_pending_total(pending)
-                )
-            if _OBS.enabled:
-                _SIM_FEEDBACK_FLUSHES.inc()
-        if _OBS.enabled:
-            _SIM_PROCS_SLOTS.inc()
-            _SIM_FAST_PEERS.set(self.n - len(self._slow_rows))
-        self._emit_slot_sparse(act, R, M, R.size)
-        self._t += 1
-        return act, R, M, requesting, capacities
-
-    def _procs_pending_total(self, dumps) -> float:
-        """:meth:`_sparse_pending_total` over the workers' pending dumps
-        (``(receiver, giver_idx, values)`` triples in global row order —
-        contiguous shards make the shard-order concatenation globally
-        sorted)."""
-        if not dumps:
-            return 0.0
-        n = self.n
-        pos = np.concatenate([idx + j * n for j, idx, _ in dumps])
-        val = np.concatenate([v for _, _, v in dumps])
-        return float(sparse_pairwise(pos, val, n * n))
-
     def close(self) -> None:
-        """Shut down the worker processes (``procs`` engine; no-op for
-        the in-process engines).  Safe to call more than once; the
-        coordinator also cleans up on garbage collection."""
-        procs = getattr(self, "_procs", None)
-        if procs is not None:
-            procs.close()
-
-    def __enter__(self) -> "Simulation":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-    def _labels(self) -> tuple[str, ...]:
-        """Per-peer display labels without requiring ``PeerState``
-        objects (the procs engine keeps peers in the workers)."""
-        if self.peers is not None:
-            return tuple(p.label for p in self.peers)
-        return tuple(
-            c.label or f"peer {i}" for i, c in enumerate(self.configs)
-        )
+        """Release engine resources.  Every engine runs in-process and
+        holds nothing beyond ordinary garbage-collected state, so this
+        is a no-op kept for callers that close simulations they are done
+        with."""
 
     def _step_sparse_traced(self):
-        step = self._step_procs if self._mode == "procs" else self._step_sparse
         if _TRACER.enabled:
             with _spans.span_scope("sim.step", t=self._t):
-                return step()
-        return step()
+                return self._step_sparse()
+        return self._step_sparse()
 
     def run(
         self,
@@ -1308,7 +1133,7 @@ class Simulation:
             raise ValueError("record_allocations requires history='full'")
         if history == "full":
             return self._run_full(slots, record_allocations, history_dtype)
-        compact = self._mode in ("sparse", "procs")
+        compact = self._mode == "sparse"
         if history == "rates":
             rates = np.zeros((slots, self.n))
             requesting = np.zeros((slots, self.n), dtype=bool)
@@ -1330,40 +1155,25 @@ class Simulation:
                 capacities=capacities,
                 mean_alloc=None,
                 slot_seconds=self.slot_seconds,
-                labels=self._labels(),
+                labels=tuple(p.label for p in self.peers),
             )
-        # history == "none": O(n) streaming aggregates only.  The procs
-        # engine's workers run the per-shard accumulators (merged by the
-        # coordinator into disjoint slices — exact, not approximate);
-        # only the per-slot Jain record, which needs the global compact
-        # rate vector, stays on this side of the message boundary.
+        # history == "none": O(n) streaming aggregates only.
         metrics = StreamingMetrics(self.n, slots)
-        sharded = self._mode == "procs"
-        if sharded:
-            self._procs.begin_metrics(slots)
         with _spans.span_scope("sim.run", slots=slots, n=self.n):
             for s in range(slots):
                 if compact:
                     _, R, M, req, caps = self._step_sparse_traced()
-                    if sharded:
-                        rates_c = M.sum(axis=0)
-                        metrics.jain.append(
-                            jain_index(rates_c) if R.size else 1.0
-                        )
-                    else:
-                        metrics.update_compact(s, R, M.sum(axis=0), req, caps)
+                    metrics.update_compact(s, R, M.sum(axis=0), req, caps)
                 else:
                     alloc, req, caps = self.step()
                     metrics.update_dense(s, alloc.sum(axis=0), req, caps)
-        if sharded:
-            self._procs.end_metrics(metrics)
         return SimulationResult(
             rates=None,
             requesting=None,
             capacities=None,
             mean_alloc=None,
             slot_seconds=self.slot_seconds,
-            labels=self._labels(),
+            labels=tuple(p.label for p in self.peers),
             summary=metrics.summary(),
         )
 
@@ -1396,5 +1206,5 @@ class Simulation:
             mean_alloc=mean_alloc,
             slot_seconds=self.slot_seconds,
             alloc_history=history,
-            labels=self._labels(),
+            labels=tuple(p.label for p in self.peers),
         )

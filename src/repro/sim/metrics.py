@@ -35,9 +35,7 @@ class StreamingMetrics:
     trajectory is recorded as the engine computes it, the masked gain
     sum mirrors :func:`~repro.core.fairness.cooperation_gain`, and the
     report's final rate window (``max(1, slots // 10)`` trailing slots)
-    is pre-registered at run start.  The procs engine keeps the same
-    accumulators shard-locally inside each worker and the coordinator
-    merges the disjoint slices.
+    is pre-registered at run start.
     """
 
     def __init__(self, n: int, slots: int):

@@ -479,7 +479,6 @@ def sparse_population_sim(
     kbps: float = 1024.0,
     seed: int = 0,
     engine: str = "auto",
-    workers: int | None = None,
     evict_age: int | None = None,
 ) -> Simulation:
     """Cohort-structured population for the 10^5-10^6-peer scale runs.
@@ -524,9 +523,7 @@ def sparse_population_sim(
         PeerConfig(capacity=idle_cap, demand=cohort_demand[(i - givers) % cohorts])
         for i in range(givers, n)
     ]
-    return Simulation(
-        configs, seed=seed, engine=engine, workers=workers, evict_age=evict_age
-    )
+    return Simulation(configs, seed=seed, engine=engine, evict_age=evict_age)
 
 
 def sparse_population(
@@ -537,7 +534,6 @@ def sparse_population(
     kbps: float = 1024.0,
     seed: int = 0,
     engine: str = "auto",
-    workers: int | None = None,
     history: str | None = "none",
 ) -> SimulationResult:
     """Run :func:`sparse_population_sim` for ``slots`` slots.
@@ -554,10 +550,8 @@ def sparse_population(
         kbps=kbps,
         seed=seed,
         engine=engine,
-        workers=workers,
     )
-    with sim:
-        return sim.run(slots, history=history)
+    return sim.run(slots, history=history)
 
 
 def sparse_population_churn(
@@ -569,7 +563,6 @@ def sparse_population_churn(
     kbps: float = 1024.0,
     seed: int = 0,
     engine: str = "auto",
-    workers: int | None = None,
     evict_age: int | None = None,
 ) -> Simulation:
     """Giver churn at scale: contributor generations that join and leave.
@@ -635,9 +628,7 @@ def sparse_population_churn(
         )
         for i in range(total_givers, n)
     ]
-    return Simulation(
-        configs, seed=seed, engine=engine, workers=workers, evict_age=evict_age
-    )
+    return Simulation(configs, seed=seed, engine=engine, evict_age=evict_age)
 
 
 def million_peer_smoke(
@@ -648,19 +639,16 @@ def million_peer_smoke(
     seed: int = 0,
     memory_cap_bytes: int = 2 << 30,
     engine: str = "sparse",
-    workers: int | None = None,
 ) -> dict:
     """Million-peer smoke: build, step and account a 10^6-peer network.
 
-    Uses the sparse engine by default (the auto heuristic would pick a
-    large-``n`` engine anyway at this size) with ``history="none"``;
-    pass ``engine="procs"`` (and optionally ``workers``) to smoke the
-    process-sharded engine instead.  The return dict reports the
-    engine's own state accounting
+    Uses the sparse engine by default (the auto heuristic picks it
+    anyway at this size) with ``history="none"``.  The return dict
+    reports the engine's own state accounting
     (:meth:`~repro.sim.engine.Simulation.memory_bytes`, bytes/peer) and
-    the peak RSS — parent plus, under procs, the reaped worker
-    children — against ``memory_cap_bytes`` — the documented cap in
-    EXPERIMENTS.md.  ``within_cap`` is the smoke verdict.
+    the process's peak RSS against ``memory_cap_bytes`` — the
+    documented cap in EXPERIMENTS.md.  ``within_cap`` is the smoke
+    verdict.
     """
     import resource
 
@@ -671,32 +659,24 @@ def million_peer_smoke(
         slots=slots,
         seed=seed,
         engine=engine,
-        workers=workers,
     )
-    with sim:
-        result = sim.run(slots, history="none")
-        state_bytes = sim.memory_bytes()
-        backend = sim.backend
-        sim_workers = sim._workers
+    result = sim.run(slots, history="none")
+    state_bytes = sim.memory_bytes()
     # ru_maxrss is KiB on Linux; the whole-process peak, so it bounds
-    # (conservatively) what the scenario itself needed.  Workers are
-    # reaped by the `with` close above, so RUSAGE_CHILDREN covers the
-    # procs engine's shards (max over children, not a sum).
+    # (conservatively) what the scenario itself needed.
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    child_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
     return {
         "n": n,
         "slots": slots,
         "cohorts": cohorts,
         "givers": givers,
         "seed": seed,
-        "backend": backend,
-        "workers": int(sim_workers),
+        "backend": sim.backend,
         "state_bytes": int(state_bytes),
         "bytes_per_peer": state_bytes / n,
-        "peak_rss_bytes": int(max(peak_rss, child_rss)),
+        "peak_rss_bytes": int(peak_rss),
         "memory_cap_bytes": int(memory_cap_bytes),
-        "within_cap": bool(max(peak_rss, child_rss) <= memory_cap_bytes),
+        "within_cap": bool(peak_rss <= memory_cap_bytes),
         "rate_sum_total": float(result.summary["rate_sum"].sum()),
         "request_slots": int(result.summary["request_count"].sum()),
         "capacity_sum_total": float(result.summary["capacity_sum"].sum()),

@@ -54,12 +54,7 @@ class SparseLedgers:
     initial:
         Initial credit (the background value of every row).
     forgetting:
-        ``(rows,)`` per-row forgetting factors in ``(0, 1]``.
-    rows:
-        Number of rows this store owns.  Defaults to ``n``; a
-        shard-local store (the procs engine) owns a contiguous row
-        slice while its columns still span the whole population, so
-        row indices are *local* and column/partner indices *global*.
+        ``(n,)`` per-row forgetting factors in ``(0, 1]``.
     evict_age:
         Optional entry time-to-live in epochs.  When set, every
         explicit entry records the epoch it was last written; entries
@@ -81,26 +76,24 @@ class SparseLedgers:
         n: int,
         initial: float,
         forgetting: np.ndarray,
-        rows: int | None = None,
         evict_age: int | None = None,
     ):
         self.n = int(n)
-        self.rows = self.n if rows is None else int(rows)
         if evict_age is not None and evict_age < 1:
             raise ValueError(f"evict_age must be >= 1 epoch, got {evict_age}")
         self.evict_age = evict_age
-        self.background = np.full(self.rows, float(initial))
+        self.background = np.full(self.n, float(initial))
         self.forgetting = np.ascontiguousarray(forgetting, dtype=np.float64)
         #: Feedback flushes seen so far (the decay clock).
         self.epoch = 0
         #: Last epoch each sparse row's explicit values were decayed to.
-        self.stamps = np.zeros(self.rows, dtype=np.int64)
+        self.stamps = np.zeros(self.n, dtype=np.int64)
         #: Explicit entries per row; -1 flags a dense island row.
-        self.nnz = np.zeros(self.rows, dtype=np.int64)
+        self.nnz = np.zeros(self.n, dtype=np.int64)
         #: Base addresses of each row's int64 index / float64 value
         #: arrays (0 when the row has none) — the native kernels' view.
-        self.idx_addr = np.zeros(self.rows, dtype=np.int64)
-        self.val_addr = np.zeros(self.rows, dtype=np.int64)
+        self.idx_addr = np.zeros(self.n, dtype=np.int64)
+        self.val_addr = np.zeros(self.n, dtype=np.int64)
         self._idx: dict[int, np.ndarray] = {}
         self._val: dict[int, np.ndarray] = {}
         self._dense: dict[int, np.ndarray] = {}
@@ -207,8 +200,8 @@ class SparseLedgers:
         return self.nnz[i] != 0
 
     def materialize(self) -> np.ndarray:
-        """Dense ``(rows, n)`` snapshot (tests / small-n interop only)."""
-        out = np.empty((self.rows, self.n))  # repro: allow[sim-dense-alloc]
+        """Dense ``(n, n)`` snapshot (tests / small-n interop only)."""
+        out = np.empty((self.n, self.n))  # repro: allow[sim-dense-alloc]
         out[:] = self.background[:, None]
         for i, idx in self._idx.items():
             self.catch_up(i)

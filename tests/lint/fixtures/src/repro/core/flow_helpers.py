@@ -30,3 +30,24 @@ def cyc_a(x, depth):
 
 def cyc_b(x, depth):
     return cyc_a(x, depth)
+
+
+class Halver:
+    """``step`` reaches its sibling only through ``self`` dispatch."""
+
+    def step(self, x):
+        return self._half(x)
+
+    def _half(self, x):
+        return scale(x)
+
+
+class Pipeline:
+    """``run`` reaches ``Halver.step`` only through an attribute whose
+    type the constructor assignment in ``__init__`` fixes."""
+
+    def __init__(self):
+        self.stage = Halver()
+
+    def run(self, x):
+        return self.stage.step(x)

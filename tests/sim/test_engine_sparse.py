@@ -173,7 +173,7 @@ def _history_configs():
     ]
 
 
-@pytest.mark.parametrize("engine", ["batched", "sparse"])
+@pytest.mark.parametrize("engine", ["reference", "batched", "sparse"])
 def test_history_modes_consistent(engine):
     full = Simulation(_history_configs(), seed=4, engine=engine).run(20)
     rates_only = Simulation(_history_configs(), seed=4, engine=engine).run(
@@ -255,6 +255,84 @@ def test_reduced_history_raises_and_roundtrips():
         Simulation(_history_configs(), seed=4).run(5, history="bogus")
 
 
+# -- thread-sharded kernels against the reference oracle --------------------
+
+
+def _forgetting_configs():
+    return [
+        PeerConfig(
+            capacity=200.0 + 50.0 * i,
+            demand=BernoulliDemand(0.4 + 0.05 * i),
+            forgetting=0.9 if i % 2 else 1.0,
+        )
+        for i in range(7)
+    ]
+
+
+_THREADED_MIXES = {
+    "adversarial": (adversarial_configs, dict(slots=37)),
+    "adversarial-delayed": (
+        adversarial_configs,
+        dict(slots=20, feedback_interval=3, slot_seconds=7.5),
+    ),
+    "forgetting": (_forgetting_configs, dict(slots=30, feedback_interval=2)),
+    "step-capacity": (_history_configs, dict(slots=24)),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+@pytest.mark.parametrize("mix", sorted(_THREADED_MIXES))
+def test_threaded_sparse_matches_reference(monkeypatch, mix, threads):
+    """The sparse kernels shard rows across pthreads; every shard split
+    must reproduce the reference slot loop bit for bit, mix by mix."""
+    monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+    make_configs, kwargs = _THREADED_MIXES[mix]
+    assert_equivalent(make_configs, engines=ENGINES, **kwargs)
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_threaded_random_networks_bit_identical(data):
+    """Random mixes at a random kernel thread count."""
+    import os
+    from unittest import mock
+
+    factories = [
+        PeerwiseProportionalAllocator,
+        GlobalProportionalAllocator,
+        IsolationAllocator,
+        lambda: WithholdingAllocator(0.5),
+        lambda: RandomAllocator(seed=5),
+    ]
+    n = data.draw(st.integers(min_value=2, max_value=9))
+    chosen = [
+        data.draw(st.sampled_from(factories), label=f"alloc{i}")
+        for i in range(n)
+    ]
+    gammas = [
+        data.draw(st.floats(min_value=0.0, max_value=1.0), label=f"gamma{i}")
+        for i in range(n)
+    ]
+    feedback = data.draw(st.integers(min_value=1, max_value=3))
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+    threads = data.draw(st.sampled_from(["1", "2", "3", "8"]))
+
+    def make_configs():
+        return [
+            PeerConfig(
+                capacity=100.0 + 37.0 * i,
+                demand=BernoulliDemand(gammas[i]),
+                allocator=chosen[i](),
+                forgetting=0.9 if i % 2 else 1.0,
+            )
+            for i in range(n)
+        ]
+
+    with mock.patch.dict(os.environ, {"REPRO_SIM_THREADS": threads}):
+        assert_equivalent(make_configs, slots=18, seed=seed,
+                          feedback_interval=feedback, engines=ENGINES)
+
+
 # -- auto-selection and its trace event ------------------------------------
 
 
@@ -292,6 +370,28 @@ def test_auto_keeps_batched_below_threshold():
     assert event.fields["engine"] == "batched"
 
 
+def test_auto_with_evict_age_selects_sparse():
+    """Eviction exists only in the sparse ledger store, so ``auto`` must
+    resolve to sparse at any size rather than build a dense engine that
+    would silently never evict."""
+    configs = [
+        PeerConfig(capacity=100.0, demand=BernoulliDemand(0.5))
+        for _ in range(8)
+    ]
+    with obs.observability(tracing=True, reset=True):
+        sim = Simulation(configs, engine="auto", evict_age=2)
+        events = [
+            e for e in obs.TRACER.events() if e.name == "sim.engine_selected"
+        ]
+    assert sim.backend.startswith("sparse")
+    assert sim._ledgers.evict_age == 2
+    (event,) = events
+    assert event.fields["engine"] == "sparse"
+    assert "evict_age" in event.fields["reason"]
+    with pytest.raises(ValueError, match="evict_age"):
+        Simulation(configs, engine="batched", evict_age=2)
+
+
 def test_auto_considers_available_memory(monkeypatch):
     from repro.sim import engine as engine_mod
 
@@ -306,6 +406,51 @@ def test_auto_considers_available_memory(monkeypatch):
     ]
     sim = Simulation(configs, engine="auto")
     assert sim.backend.startswith("sparse")
+
+
+@pytest.mark.parametrize("engine", ["auto", "reference", "batched", "sparse"])
+def test_engine_selected_event_fields_match_declaration(engine):
+    """Every engine choice emits exactly the declared payload fields."""
+    from repro.obs.events import EVENT_FIELDS
+
+    with obs.observability(tracing=True, reset=True):
+        Simulation(_history_configs(), engine=engine)
+        events = [
+            e for e in obs.TRACER.events() if e.name == "sim.engine_selected"
+        ]
+    (event,) = events
+    assert tuple(event.fields) == EVENT_FIELDS["sim.engine_selected"]
+    assert event.fields["n"] == len(_history_configs())
+    if engine != "auto":
+        assert event.fields["engine"] == engine
+        assert event.fields["reason"] == "requested"
+
+
+def test_validation_errors():
+    with pytest.raises(ValueError, match="engine"):
+        Simulation(_history_configs(), engine="bogus")
+    with pytest.raises(ValueError, match="engine"):
+        Simulation(_history_configs(), engine="procs")
+    with pytest.raises(ValueError, match="evict_age"):
+        Simulation(_history_configs(), engine="reference", evict_age=4)
+    with pytest.raises(ValueError, match="evict_age"):
+        Simulation(_history_configs(), engine="sparse", evict_age=0)
+    with pytest.raises(TypeError, match="workers"):
+        Simulation(_history_configs(), engine="sparse", workers=2)
+
+
+def test_close_is_an_idempotent_noop():
+    """``close`` holds no resources to release: the simulation keeps
+    stepping afterwards and its results are unchanged by the call."""
+    closed = Simulation(_history_configs(), seed=1, engine="sparse")
+    first = closed.run(5)
+    closed.close()
+    closed.close()
+    second = closed.run(5)
+    straight = Simulation(_history_configs(), seed=1, engine="sparse").run(10)
+    assert straight.rates.tobytes() == np.concatenate(
+        [first.rates, second.rates]
+    ).tobytes()
 
 
 # -- scale scenarios --------------------------------------------------------
@@ -349,6 +494,18 @@ def test_million_peer_smoke_scaled_down():
     assert out["state_bytes"] > 0
     assert out["bytes_per_peer"] < 4096
     assert out["request_slots"] > 0
+
+
+def test_million_peer_smoke_report_keys():
+    """The smoke result is a flat, JSON-ready dict with a fixed key set."""
+    out = million_peer_smoke(n=600, slots=2, cohorts=8, givers=4)
+    assert set(out) == {
+        "n", "slots", "cohorts", "givers", "seed", "backend",
+        "state_bytes", "bytes_per_peer", "peak_rss_bytes",
+        "memory_cap_bytes", "within_cap", "rate_sum_total",
+        "request_slots", "capacity_sum_total",
+    }
+    assert out["n"] == 600 and out["slots"] == 2
 
 
 def test_network_engine_plumbing():
@@ -418,21 +575,31 @@ def test_eviction_changes_results_when_a_swept_row_uploads():
     assert plain.rates.tobytes() != evicting.rates.tobytes()
 
 
-def test_eviction_procs_matches_sparse_bitwise():
-    """Sharded eviction sweeps in the same epochs as the local store."""
+@pytest.mark.parametrize("threads", ["2", "3", "8"])
+def test_eviction_is_thread_count_invariant(monkeypatch, threads):
+    """Eviction sweeps run between kernel calls, so the evicted entries
+    and every summary bit are the same at any kernel thread count."""
     from repro.sim import sparse_population_churn
 
     kwargs = dict(n=120, cohorts=6, givers_per_phase=3, phases=2,
-                  phase_slots=8, seed=5, evict_age=3)
-    sparse = sparse_population_churn(engine="sparse", **kwargs).run(
-        16, history="none"
-    )
-    with sparse_population_churn(engine="procs", workers=3, **kwargs) as sim:
-        procs = sim.run(16, history="none")
-    for key in sparse.summary:
+                  phase_slots=8, seed=5, evict_age=3, engine="sparse")
+
+    def run():
+        sim = sparse_population_churn(**kwargs)
+        result = sim.run(16, history="none")
+        return sim._ledgers, result.summary
+
+    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+    base_ledgers, base = run()
+    monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+    ledgers, got = run()
+    assert base_ledgers.evicted > 0
+    assert ledgers.evicted == base_ledgers.evicted
+    assert ledgers.entries == base_ledgers.entries
+    assert set(got) == set(base)
+    for key in base:
         assert (
-            np.asarray(sparse.summary[key]).tobytes()
-            == np.asarray(procs.summary[key]).tobytes()
+            np.asarray(base[key]).tobytes() == np.asarray(got[key]).tobytes()
         ), key
 
 

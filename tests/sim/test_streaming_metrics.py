@@ -5,8 +5,8 @@ trajectory, per-peer goodput sums, final-window rates, gain over
 isolation) updated as the engine steps, so reduced-history runs feed
 :func:`repro.obs.report.simulation_report` with *bit-for-bit* the same
 numbers a full per-slot history produces.  The equality asserted here
-is on the serialized report JSON — every engine, shard count and
-feedback interval must agree to the last bit.
+is on the serialized report JSON — every engine and feedback interval
+must agree to the last bit.
 """
 
 import json
@@ -39,13 +39,9 @@ def _configs():
     ]
 
 
-def _report_json(engine, history, slots=40, workers=None, feedback=1):
-    kwargs = {"workers": workers} if workers is not None else {}
-    sim = Simulation(
-        _configs(), seed=9, engine=engine, feedback_interval=feedback, **kwargs
-    )
-    with sim:
-        result = sim.run(slots, history=history)
+def _report_json(engine, history, slots=40, feedback=1):
+    sim = Simulation(_configs(), seed=9, engine=engine, feedback_interval=feedback)
+    result = sim.run(slots, history=history)
     return json.dumps(simulation_report(result), sort_keys=True)
 
 
@@ -57,25 +53,27 @@ def test_report_full_vs_none_bit_identical(engine, feedback):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_report_full_vs_none_bit_identical_procs(workers):
-    assert _report_json("procs", "full", workers=workers) == _report_json(
-        "procs", "none", workers=workers
-    )
+def test_report_none_sparse_matches_reference_full():
+    """The whole chain at once: compact streaming vs the dense oracle."""
+    assert _report_json("reference", "full") == _report_json("sparse", "none")
 
 
-def test_report_none_procs_matches_reference_full():
-    """The whole chain at once: sharded streaming vs the dense oracle."""
-    assert _report_json("reference", "full") == _report_json(
-        "procs", "none", workers=2
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_report_none_sparse_thread_invariant(monkeypatch, threads):
+    """Streaming sums ride on the sharded kernels' outputs: the report
+    from a reduced-history sparse run matches the dense oracle at any
+    kernel thread count."""
+    monkeypatch.setenv("REPRO_SIM_THREADS", threads)
+    assert _report_json("reference", "full", feedback=2) == _report_json(
+        "sparse", "none", feedback=2
     )
 
 
 def test_jain_trajectory_matches_trace_events():
     """The streamed per-slot Jain values are the ``sim.slot`` values."""
     with obs.observability(tracing=True, reset=True):
-        with Simulation(_configs(), seed=9, engine="procs", workers=2) as sim:
-            result = sim.run(30, history="none")
+        sim = Simulation(_configs(), seed=9, engine="sparse")
+        result = sim.run(30, history="none")
         slots = [
             e for e in obs.TRACER.events() if e.name == "sim.slot"
         ]
@@ -86,8 +84,7 @@ def test_jain_trajectory_matches_trace_events():
 
 def test_window_and_gains_bitwise():
     full = Simulation(_configs(), seed=9, engine="sparse").run(40)
-    with Simulation(_configs(), seed=9, engine="procs", workers=3) as sim:
-        none = sim.run(40, history="none")
+    none = Simulation(_configs(), seed=9, engine="sparse").run(40, history="none")
     window = max(1, 40 // 10)
     assert (
         none.window_mean_rates(40 - window, 40).tobytes()
@@ -103,8 +100,7 @@ def test_window_and_gains_bitwise():
 
 
 def test_labels_survive_reduced_history():
-    with Simulation(_configs(), seed=9, engine="procs", workers=2) as sim:
-        none = sim.run(10, history="none")
+    none = Simulation(_configs(), seed=9, engine="sparse").run(10, history="none")
     assert none.label_of(0) == "heavy"
     assert none.label_of(4) == "giver"
     assert none.label_of(1) == "peer 1"

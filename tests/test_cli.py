@@ -384,6 +384,22 @@ class TestSimulate:
         with pytest.raises(SystemExit, match="bad --faults"):
             main(["simulate", "faults", "--faults", "0:meltdown"])
 
+    @pytest.mark.parametrize("engine", ["reference", "batched", "sparse"])
+    def test_engine_choice_reaches_the_scenario(self, engine, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["simulate", "fig5b", "--engine", engine, "--trace", str(trace)]
+        assert main(argv) == 0
+        assert "3 peers" in capsys.readouterr().out
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        chosen = [e for e in events if e["name"] == "sim.engine_selected"]
+        assert chosen
+        assert {e["fields"]["engine"] for e in chosen} == {engine}
+
+    def test_unknown_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "fig5b", "--engine", "procs"])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestChannel:
     def test_table(self, capsys):
