@@ -7,7 +7,9 @@ per-slot time at n=128, compares ns/op against the committed
 exceeds the budget (a generous 3x, so CI noise on shared runners does
 not flap the job).  Fresh ``BENCH_decode.smoke.json`` and
 ``BENCH_sim.smoke.json`` files are always written next to the baselines
-for upload as CI artifacts.
+for upload as CI artifacts.  Two more probes gate same-run ratios
+instead of committed numbers: encoder screening against coefficient-row
+derivation, and the cost of turning observability on.
 
 Usage: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -87,6 +89,45 @@ def measure_repair() -> tuple[str, int]:
         f"_h{bench_repair.HELPERS}_c{bench_repair.COUNT}"
     )
     return key, bench_repair.recombine_ns_per_message()
+
+
+#: Screening probe: the owner's independence screen of 16 bundles at the
+#: simulator's coding point may cost at most SCREEN_BUDGET times deriving
+#: the same 128 coefficient rows, both timed cold in this process.  The
+#: batched screen sits near 1.5x; the per-row scan it replaced was ~7x.
+SCREEN_BUNDLES = 16
+SCREEN_BUDGET = 3.0
+SCREEN_REPS = 9
+
+
+def measure_screening() -> int:
+    """Fail (1) when screening costs >3x the row derivation it needs."""
+    from repro.rlnc import FileEncoder
+    from repro.sim.network import DEFAULT_SIM_PARAMS as params
+
+    ids = range(SCREEN_BUNDLES * params.k)
+    screen, derive = [], []
+    for rep in range(SCREEN_REPS + 1):
+        # Fresh encoders, so both sides start with an empty row cache.
+        encoder = FileEncoder(params, b"bench", file_id=rep)
+        start = time.perf_counter()
+        encoder.independent_ids(SCREEN_BUNDLES)
+        screen.append(time.perf_counter() - start)
+        encoder = FileEncoder(params, b"bench", file_id=rep)
+        start = time.perf_counter()
+        encoder.coefficients.matrix(ids)
+        derive.append(time.perf_counter() - start)
+    # Rep 0 warms imports and kernel tables.
+    base, screened = _median(derive[1:]), _median(screen[1:])
+    ratio = screened / base
+    print(f"screening: independent_ids({SCREEN_BUNDLES}) {screened * 1e3:.2f} ms, "
+          f"rows for {len(ids)} ids {base * 1e3:.2f} ms -> ratio {ratio:.2f}x "
+          f"(budget {SCREEN_BUDGET:.1f}x)")
+    if ratio > SCREEN_BUDGET:
+        print(f"FAIL: screening costs {ratio:.2f}x > {SCREEN_BUDGET:.1f}x the "
+              "coefficient-row derivation it screens")
+        return 1
+    return 0
 
 
 #: Obs-overhead probe, enforcing the "<3% overhead" instrumentation
@@ -229,6 +270,7 @@ def main() -> int:
     print(f"measured {repair_key}: {repair_ns} ns/op; wrote {repair_path.name}")
     failures += _compare("BENCH_repair.json", repair_key, repair_ns)
 
+    failures += measure_screening()
     failures += measure_obs_overhead()
 
     if failures:

@@ -19,6 +19,7 @@ from .linalg import (
     IncrementalRank,
     SingularMatrixError,
     inv_matrix,
+    invertible_stack,
     is_invertible,
     random_invertible,
     rank,
@@ -44,6 +45,7 @@ __all__ = [
     "row_reduce",
     "rank",
     "is_invertible",
+    "invertible_stack",
     "inv_matrix",
     "solve",
     "random_invertible",

@@ -22,6 +22,7 @@ __all__ = [
     "row_reduce",
     "rank",
     "is_invertible",
+    "invertible_stack",
     "inv_matrix",
     "solve",
     "random_invertible",
@@ -104,6 +105,44 @@ def is_invertible(field: BinaryField, matrix: np.ndarray) -> bool:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
     return rank(field, A) == A.shape[0]
+
+
+def invertible_stack(field: BinaryField, stack: np.ndarray) -> np.ndarray:
+    """Which ``k x k`` matrices of a ``(b, k, k)`` stack are invertible.
+
+    Returns a boolean array of length ``b``.  One forward Gaussian
+    elimination runs over the whole stack: each column step swaps every
+    matrix's first nonzero entry at or below the diagonal into pivot
+    position, normalises the pivot rows and clears the column beneath
+    them with one fused ``addmul`` across all ``b`` matrices.  A matrix
+    with no such entry in some column is singular (the column of its
+    trailing block is zero); it stays in the batch with a unit dummy
+    pivot, so ``inv`` never sees a zero, and is reported ``False``.
+    The input is not modified.
+    """
+    A = field.asarray(stack)  # a validated copy
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise FieldError(f"expected a (b, k, k) stack, got shape {A.shape}")
+    b, k, _ = A.shape
+    ok = np.ones(b, dtype=bool)
+    for col in range(k):
+        nonzero = A[:, col:, col] != 0
+        ok &= nonzero.any(axis=1)
+        src = col + np.argmax(nonzero, axis=1)
+        swap = np.nonzero(src != col)[0]
+        if swap.size:
+            top = A[swap, col, col:]
+            A[swap, col, col:] = A[swap, src[swap], col:]
+            A[swap, src[swap], col:] = top
+        if col + 1 == k or not ok.any():
+            break
+        pivots = A[:, col, col].copy()
+        pivots[~ok] = 1
+        pivot_rows = A[:, col, col:]
+        field.scale_rows(pivot_rows, field.inv(pivots)[:, None])
+        factors = A[:, col + 1:, col].copy()
+        field.addmul(A[:, col + 1:, col:], factors[:, :, None], pivot_rows[:, None, :])
+    return ok
 
 
 def inv_matrix(field: BinaryField, matrix: np.ndarray) -> np.ndarray:

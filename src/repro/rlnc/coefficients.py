@@ -87,7 +87,8 @@ class CoefficientGenerator:
         Cache-missing ids are generated through one batched
         :meth:`~repro.security.prng.KeyedStream.symbols_many` call; the
         rows produced are identical to :meth:`row`'s and are cached
-        read-only exactly as :meth:`row` would cache them.
+        read-only as :meth:`row` caches them (as row views of one
+        validated block).
         """
         ids = list(message_ids)
         missing = [mid for mid in dict.fromkeys(ids) if mid not in self._cache]
@@ -98,11 +99,11 @@ class CoefficientGenerator:
                     "its row needs a registered repair record"
                 )
         if missing:
-            block = self._stream.symbols_many(missing, self.k, self.field.p)
-            for mid, symbols in zip(missing, block):
-                row = self.field.asarray(symbols)
-                row.flags.writeable = False
-                self._cache[mid] = row
+            block = self.field.asarray(
+                self._stream.symbols_many(missing, self.k, self.field.p)
+            )
+            block.flags.writeable = False  # its row views inherit this
+            self._cache.update(zip(missing, block))
         out = np.empty((len(ids), self.k), dtype=self.field.dtype)
         for r, mid in enumerate(ids):
             out[r] = self._cache[mid]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gf import GF, BinaryField, IncrementalRank
+from ..gf import GF, BinaryField, IncrementalRank, invertible_stack
 from ..obs import REGISTRY as _OBS
 from ..obs import TRACER as _TRACER
 from ..obs import span as _span
@@ -43,6 +43,14 @@ __all__ = ["FileEncoder", "EncodedFile"]
 
 _ENC_MESSAGES = _OBS.counter("repro.rlnc.encode.messages", "coded messages produced")
 _ENC_NS = _span("repro.rlnc.encode.ns", description="nanoseconds per encoded message")
+_SCREEN_NS = _span(
+    "repro.rlnc.screen.ns", description="nanoseconds per independent_ids() call"
+)
+_SCREEN_BUNDLES = _OBS.counter("repro.rlnc.screen.bundles", "bundles screened")
+_SCREEN_FALLBACKS = _OBS.counter(
+    "repro.rlnc.screen.fallbacks",
+    "rank-deficient candidate blocks finished by the sequential scan",
+)
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class FileEncoder:
         )
 
     def encode_ids(self, source: np.ndarray, message_ids) -> list[EncodedMessage]:
-        """Encode a batch of ids with one ``matmul`` over the whole bundle.
+        """Encode a batch of ids with one ``matmul`` over the whole batch.
 
         ``beta_rows @ X`` produces every payload of the batch in a single
         kernel call; each payload row is bit-identical to the per-message
@@ -151,20 +159,46 @@ class FileEncoder:
         is linearly dependent on the rows already in the current bundle
         is skipped (it may still be used by a later bundle — rejection
         is per-bundle, not global).
+
+        The greedy scan is batched: the rows of the next ``left * k``
+        ids are derived at once and tested as ``left`` consecutive
+        ``k x k`` blocks by one stacked elimination.  A full-rank block
+        means each of its rows was independent of the rows before it,
+        so the scan would accept the block exactly as it stands.  The
+        first rank-deficient block is finished by the sequential scan
+        (which skips its dependent rows), and batching resumes after
+        the last id that bundle consumed.
         """
         k = self.params.k
         bundles: list[list[int]] = []
         next_id = start_id
-        for _ in range(count):
-            tracker = IncrementalRank(self.field, k)
-            ids: list[int] = []
-            while len(ids) < k:
-                row = self.coefficients.row(next_id)
-                if tracker.offer(row):
-                    ids.append(next_id)
-                next_id += 1
-            bundles.append(ids)
+        with _SCREEN_NS:
+            while len(bundles) < count:
+                left = count - len(bundles)
+                rows = self.coefficients.matrix(range(next_id, next_id + left * k))
+                ok = invertible_stack(self.field, rows.reshape(left, k, k))
+                full = left if ok.all() else int(np.argmin(ok))
+                for _ in range(full):
+                    bundles.append(list(range(next_id, next_id + k)))
+                    next_id += k
+                if full < left:
+                    ids, next_id = self._scan_bundle(next_id)
+                    bundles.append(ids)
+                    if _OBS.enabled:
+                        _SCREEN_FALLBACKS.inc()
+        if _OBS.enabled:
+            _SCREEN_BUNDLES.inc(count)
         return bundles
+
+    def _scan_bundle(self, next_id: int) -> tuple[list[int], int]:
+        """Greedy scan for one bundle from ``next_id``; returns it and the next id."""
+        tracker = IncrementalRank(self.field, self.params.k)
+        ids: list[int] = []
+        while len(ids) < self.params.k:
+            if tracker.offer(self.coefficients.row(next_id)):
+                ids.append(next_id)
+            next_id += 1
+        return ids, next_id
 
     def encode_bundles(
         self,
@@ -183,15 +217,13 @@ class FileEncoder:
         if n_peers < 1:
             raise ValueError(f"need at least one peer, got {n_peers}")
         source = self.source_matrix(data)
-        bundles = []
-        for ids in self.independent_ids(n_peers, start_id=start_id):
-            messages = tuple(self.encode_ids(source, ids))
-            if digest_store is not None:
-                for msg in messages:
-                    digest_store.record(
-                        msg.file_id, msg.message_id, msg.payload_bytes()
-                    )
-            bundles.append(messages)
+        screened = self.independent_ids(n_peers, start_id=start_id)
+        messages = self.encode_ids(source, [mid for ids in screened for mid in ids])
+        if digest_store is not None:
+            for msg in messages:
+                digest_store.record(msg.file_id, msg.message_id, msg.payload_bytes())
+        k = self.params.k
+        bundles = [tuple(messages[i * k:(i + 1) * k]) for i in range(n_peers)]
         return EncodedFile(
             file_id=self.file_id,
             params=self.params,

@@ -340,13 +340,9 @@ class VersionedEncoder:
         """
         version = manifest.chunk_versions[chunk_index]
         encoder = self._encoder_for(chunk_index, version)
-        source = encoder.source_matrix(chunk_data)
-        ids = encoder.independent_ids(1, start_id=start_id)[0]
-        bundle = tuple(encoder.encode_ids(source, ids))
-        if digest_store is not None:
-            for msg in bundle:
-                digest_store.record(msg.file_id, msg.message_id, msg.payload_bytes())
-        return bundle
+        return encoder.encode_bundles(
+            chunk_data, 1, digest_store, start_id=start_id
+        ).bundles[0]
 
     # -- decode -------------------------------------------------------------
 

@@ -34,14 +34,18 @@ def derive_key(secret: bytes, *parts: bytes | int | str) -> bytes:
     the parts, so ``derive_key(s, b"ab", b"c") != derive_key(s, b"a", b"bc")``.
     """
     mac = hmac.new(secret, digestmod=hashlib.sha256)
+    _absorb(mac, parts)
+    return mac.digest()
+
+
+def _absorb(mac, parts) -> None:
+    """Feed ``parts`` to ``mac`` in :func:`derive_key`'s length-prefixed encoding."""
     for part in parts:
         if isinstance(part, int):
             part = part.to_bytes(16, "big", signed=False)
         elif isinstance(part, str):
             part = part.encode("utf-8")
-        mac.update(struct.pack(">I", len(part)))
-        mac.update(part)
-    return mac.digest()
+        mac.update(struct.pack(">I", len(part)) + part)
 
 
 class KeyedStream:
@@ -58,12 +62,21 @@ class KeyedStream:
         if not key:
             raise ValueError("key must be non-empty")
         self.key = bytes(key)
+        # Keyed once: each label's seed copies this state instead of
+        # re-running the HMAC key schedule.
+        self._mac = hmac.new(self.key, digestmod=hashlib.sha256)
+
+    def _seed(self, label: bytes | int | str) -> bytes:
+        """``derive_key(self.key, label)``, from the pre-keyed HMAC state."""
+        mac = self._mac.copy()
+        _absorb(mac, (label,))
+        return mac.digest()
 
     def bytes_for(self, label: bytes | int | str, count: int) -> bytes:
         """First ``count`` bytes of the stream for ``label``."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        seed = derive_key(self.key, label)
+        seed = self._seed(label)
         chunks = []
         produced = 0
         counter = 0

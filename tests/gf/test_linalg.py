@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.gf import (
+    GF,
     FieldError,
     IncrementalRank,
     SingularMatrixError,
     inv_matrix,
+    invertible_stack,
     is_invertible,
     random_invertible,
     rank,
@@ -129,6 +131,59 @@ class TestIsInvertible:
         assert is_invertible(field, random_invertible(field, 5, rng))
         assert not is_invertible(field, field.zeros((5, 5)))
         assert not is_invertible(field, field.random((3, 4), rng))
+
+
+#: Every backend the stacked elimination runs on: table, tower, clmul.
+STACK_FIELDS = [
+    GF(4, "table"), GF(8, "table"), GF(16, "table"), GF(32, "tower"),
+    GF(8, "clmul"), GF(32, "clmul"),
+]
+
+
+class TestInvertibleStack:
+    @pytest.fixture(params=STACK_FIELDS, ids=repr)
+    def stack_field(self, request):
+        return request.param
+
+    def expected(self, field, stack):
+        return np.array([rank(field, M) == M.shape[0] for M in stack], dtype=bool)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_random_stacks_agree_with_rank(self, stack_field, rng, k):
+        stack = stack_field.random((40, k, k), rng)
+        assert np.array_equal(
+            invertible_stack(stack_field, stack), self.expected(stack_field, stack)
+        )
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_singular_stacks_detected(self, stack_field, rng, k):
+        stack = stack_field.random((30, k, k), rng)
+        stack[0::3, k - 1] = stack[0::3, 0]  # duplicated row
+        stack[1::3, :, k // 2] = 0  # zero column
+        stack[2::6, 1] = stack_field.mul(stack[2::6, 0], np.uint32(3 % stack_field.q))
+        got = invertible_stack(stack_field, stack)
+        assert np.array_equal(got, self.expected(stack_field, stack))
+        assert not got[0::3].any() and not got[1::3].any()
+
+    def test_identity_and_permutation_invertible(self, stack_field):
+        eye = identity(stack_field, 6)
+        stack = np.stack([eye, eye[::-1], eye[[1, 0, 3, 2, 5, 4]]])
+        assert invertible_stack(stack_field, stack).all()
+
+    def test_input_not_modified(self, stack_field, rng):
+        stack = stack_field.random((5, 4, 4), rng)
+        original = stack.copy()
+        invertible_stack(stack_field, stack)
+        assert np.array_equal(stack, original)
+
+    def test_empty_stack(self, stack_field):
+        assert invertible_stack(stack_field, stack_field.zeros((0, 3, 3))).shape == (0,)
+
+    def test_non_square_rejected(self, stack_field):
+        with pytest.raises(FieldError):
+            invertible_stack(stack_field, stack_field.zeros((2, 3, 4)))
+        with pytest.raises(FieldError):
+            invertible_stack(stack_field, stack_field.zeros((3, 3)))
 
 
 class TestIncrementalRank:

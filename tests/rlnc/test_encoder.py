@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gf import GF, rank
+from repro.gf import GF, IncrementalRank, rank
+from repro.obs import REGISTRY, observability
 from repro.rlnc import CodingParams, FileEncoder
 from repro.security import DigestStore
 
@@ -106,6 +109,64 @@ class TestIndependentIds:
         assert min(bundles[0]) >= 1000
 
 
+def sequential_ids(encoder, count, start_id):
+    """The greedy scan, one candidate row at a time (the reference)."""
+    k = encoder.params.k
+    bundles, next_id = [], start_id
+    for _ in range(count):
+        tracker = IncrementalRank(encoder.field, k)
+        ids = []
+        while len(ids) < k:
+            if tracker.offer(encoder.coefficients.row(next_id)):
+                ids.append(next_id)
+            next_id += 1
+        bundles.append(ids)
+    return bundles
+
+
+def params_for(p, k):
+    m = 4
+    return CodingParams(p=p, m=m, file_bytes=k * m * p // 8)
+
+
+class TestBatchedScreeningMatchesSequential:
+    @given(
+        p=st.sampled_from([4, 8, 16, 32]),
+        k=st.sampled_from([1, 2, 3, 8, 16]),
+        count=st.integers(min_value=0, max_value=24),
+        start_id=st.integers(min_value=0, max_value=10**6),
+        file_id=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ids_identical(self, p, k, count, start_id, file_id):
+        params = params_for(p, k)
+        assert params.k == k
+        batched = FileEncoder(params, b"owner", file_id)
+        reference = FileEncoder(params, b"owner", file_id)
+        assert batched.independent_ids(count, start_id) == sequential_ids(
+            reference, count, start_id
+        )
+
+    def test_small_field_exercises_fallback(self):
+        # GF(2^4), k=8: a random 8x8 block is singular with probability
+        # ~7%, so 64 bundles reject candidate rows (P[none] ~ 1e-2 per
+        # file id, and this id is pinned), and the result must still be
+        # the sequential scan's.
+        params = params_for(4, 8)
+        batched = FileEncoder(params, b"owner", 3)
+        with observability(reset=True):
+            bundles = batched.independent_ids(64)
+            snap = REGISTRY.snapshot()
+        assert bundles == sequential_ids(FileEncoder(params, b"owner", 3), 64, 0)
+        flat = [i for b in bundles for i in b]
+        rejected = flat[-1] + 1 - len(flat)
+        assert rejected >= 1
+        fallbacks = snap["repro.rlnc.screen.fallbacks"]["value"]
+        assert 1 <= fallbacks <= rejected
+        assert snap["repro.rlnc.screen.bundles"]["value"] == 64
+        assert snap["repro.rlnc.screen.ns"]["count"] == 1
+
+
 class TestEncodeBundles:
     def test_structure(self, encoder, data):
         encoded = encoder.encode_bundles(data, n_peers=4)
@@ -130,3 +191,23 @@ class TestEncodeBundles:
         n = 6
         encoded = encoder.encode_bundles(data, n_peers=n)
         assert len(encoded.all_messages()) == n * PARAMS.k
+
+    @pytest.mark.parametrize("p", [4, 16])
+    def test_matches_per_bundle_encode_ids(self, p, rng):
+        params = params_for(p, 8)
+        encoder = FileEncoder(params, b"owner", 9)
+        data = rng.bytes(params.file_bytes)
+        store = DigestStore()
+        encoded = encoder.encode_bundles(data, n_peers=5, digest_store=store,
+                                         start_id=40)
+        reference = FileEncoder(params, b"owner", 9)
+        source = reference.source_matrix(data)
+        ref_store = DigestStore()
+        for bundle, ids in zip(encoded.bundles, sequential_ids(reference, 5, 40)):
+            expected = reference.encode_ids(source, ids)
+            assert [m.message_id for m in bundle] == ids
+            for got, want in zip(bundle, expected):
+                assert np.array_equal(got.payload, want.payload)
+                ref_store.record(want.file_id, want.message_id, want.payload_bytes())
+        assert store.slice_for_file(9) == ref_store.slice_for_file(9)
+        assert list(store.slice_for_file(9)) == list(ref_store.slice_for_file(9))

@@ -1,5 +1,7 @@
 """Unit tests for chunk-level versioned updates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,39 @@ class TestCoefficientRotation:
             from repro.rlnc import Offer
 
             assert decoders[0].offer(msg) == Offer.REJECTED
+
+
+class TestReseedBundle:
+    """``reseed_bundle`` rides on ``encode_bundles``; its ids, payloads and
+    recorded digests are pinned to the values of the former standalone
+    screen -> encode -> record copy."""
+
+    @pytest.mark.parametrize(
+        "p, start_id, ids, digests, payloads",
+        [
+            (16, 1_000_000, list(range(1_000_000, 1_000_008)),
+             "6dfedcba0c2a57810dfc6186c9a871ed8dd7b15d34b55b72636e25daf73ba3c1",
+             "b9a41270cf126b7d09cf057fc379b7251a136257994bee654c9ba7cb73248fb4"),
+            # GF(2^4): candidate 17000007 is dependent and skipped.
+            (4, 17_000_000, [*range(17_000_000, 17_000_007), 17_000_008],
+             "34f88a8d07e9ce6f028319c0acb98533ecdf2337a33f479b7065bd0c1ead99b8",
+             "692108afe418e14083261762a05c0f4307053ee58e01fdb772af6c4d1e97f27b"),
+        ],
+    )
+    def test_pinned(self, p, start_id, ids, digests, payloads):
+        params = CodingParams(p=p, m=8, file_bytes=8 * p)  # k = 8
+        enc = VersionedEncoder(params, b"owner", base_file_id=0xAA)
+        data = bytes(range(256))[: params.file_bytes * 2]
+        manifest, _ = enc.publish(data, n_peers=2)
+        store = DigestStore()
+        bundle = enc.reseed_bundle(
+            manifest, data[params.file_bytes:], 1, start_id=start_id,
+            digest_store=store,
+        )
+        assert [m.message_id for m in bundle] == ids
+        table = store.slice_for_file(bundle[0].file_id)
+        assert list(table) == ids
+        assert hashlib.sha256(b"".join(table[i] for i in ids)).hexdigest() == digests
+        assert hashlib.sha256(
+            b"".join(m.payload_bytes() for m in bundle)
+        ).hexdigest() == payloads

@@ -58,6 +58,31 @@ class TestKeyedStream:
             KeyedStream(b"k").bytes_for("a", -1)
 
 
+    @pytest.mark.parametrize("label", [0, 7, 2**100, "", "label", b"", b"\x00raw"])
+    def test_seed_matches_derive_key(self, label):
+        # The stream keys its HMAC once and copies it per label; the
+        # seed must stay derive_key(key, label) for every label type.
+        s = KeyedStream(b"key")
+        assert s._seed(label) == derive_key(b"key", label)
+
+    def test_stream_pinned(self):
+        # Coefficient rows (and so message ids and payloads) are derived
+        # from this stream; its bytes are part of the on-disk format.
+        s = KeyedStream(b"pinned-key")
+        assert s.bytes_for(7, 40).hex() == (
+            "3222de38ca3e53d3b09689a2de603edbb5a3db57393cac65"
+            "5f291f12e6edc441eabdd06d54c82003"
+        )
+        assert s.bytes_for("label", 40).hex() == (
+            "f5be9405832c683666a60a151c222a0441f44d938226cdc2"
+            "89d3416c711945b34573c285d21a90cc"
+        )
+        assert s.bytes_for(b"\x00raw", 40).hex() == (
+            "d318046f7921001281cf3e4fa3d189d39901f917fd97019a"
+            "185c6310f8dc03295d2c7d03cb8e2632"
+        )
+
+
 class TestSymbols:
     @pytest.mark.parametrize("bits", SUPPORTED_SYMBOL_BITS)
     def test_count_and_range(self, bits):
