@@ -227,11 +227,15 @@ class BinaryField:
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Matrix product over the field; ``A`` is ``(r, k)``, ``B`` is ``(k, m)``.
 
-        Large products are routed through the bit-packed GF(2) engine
+        ``A`` is validated; ``B`` is trusted like the fused kernels'
+        operands (canonical-dtype arrays of valid field elements).  A
+        GF(2^8) table field sends every shape to the native split-nibble
+        kernel (:mod:`repro.gf.kernel`) when it loaded.  Otherwise large
+        products are routed through the bit-packed GF(2) engine
         (:mod:`repro.gf.bitmatmul`), which rewrites the product as XOR
-        word operations with method-of-four-Russians lookup tables;
-        small products fall back to one fused :meth:`addmul` per inner
-        index.  Both paths produce bit-identical results.
+        word operations with method-of-four-Russians lookup tables, and
+        small products fall back to one backend product per inner
+        index.  All paths produce bit-identical results.
         """
         A = self.asarray(A)
         B = self._canon(B)
@@ -239,18 +243,29 @@ class BinaryField:
             raise FieldError(f"shape mismatch for matmul: {A.shape} x {B.shape}")
         if _OBS.enabled:
             _MUL_CALLS.inc()
+        kernel = self._native_kernel()
+        if kernel is not None:
+            return kernel.matmul(self._mul_table8, A, B)
         from .bitmatmul import bit_matmul, use_bit_engine
 
         r, n = A.shape
-        m = B.shape[1]
-        if use_bit_engine(r, n, m, self.p):
+        if use_bit_engine(r, n, B.shape[1], self.p):
             return bit_matmul(self, A, B)
+        return self._gather_matmul(A, B)
+
+    def _native_kernel(self):
+        """The native matmul kernel serving this field, if any."""
+        return None
+
+    def _gather_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``A @ B`` with one backend product per inner index."""
+        r, n = A.shape
+        m = B.shape[1]
         out = self.zeros((r, m))
         for j in range(n):
             col = A[:, j]
             if col.any():
-                y = self._mul(col[:, None], B[j][None, :])
-                out ^= y
+                out ^= self._mul(col[:, None], B[j][None, :])
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -305,6 +320,7 @@ class TableField(BinaryField):
         # the hottest shape in Gaussian elimination.
         if p == 8:
             self._mul_table = self._expz[self._logz[:, None] + self._logz[None, :]]
+            self._mul_table8 = self._mul_table.astype(np.uint8)
         else:
             self._mul_table = None
 
@@ -332,6 +348,13 @@ class TableField(BinaryField):
         a = self.asarray(a)
         b = self.asarray(b)
         return self._expz[self._logz[a] + self._logz[b]]
+
+    def _native_kernel(self):
+        if self.p != 8:
+            return None
+        from .kernel import load
+
+        return load()
 
     def _inv(self, a) -> np.ndarray:
         a = self.asarray(a)

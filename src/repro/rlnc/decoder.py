@@ -16,7 +16,6 @@ Two decoders are provided:
 from __future__ import annotations
 
 import time
-from bisect import insort
 from enum import Enum
 
 import numpy as np
@@ -52,13 +51,6 @@ _DEC_INCONSISTENT = _OBS.counter(
 _DEC_ELIM_NS = _OBS.histogram(
     "repro.rlnc.decode.eliminate_ns",
     "nanoseconds of Gaussian elimination per offered message",
-)
-_DEC_BATCHES = _OBS.counter(
-    "repro.rlnc.decode.batches", "offer_many() batch elimination passes"
-)
-_DEC_BATCH_NS = _OBS.histogram(
-    "repro.rlnc.decode.batch_ns",
-    "nanoseconds per offer_many() batch pre-reduction pass",
 )
 _DEC_BLOCK_NS = _span(
     "repro.rlnc.decode.block_ns", description="nanoseconds per BlockDecoder.decode()"
@@ -130,20 +122,28 @@ class BlockDecoder:
 class ProgressiveDecoder:
     """Streaming decoder with authentication and dependence detection.
 
-    Internally maintains augmented rows ``[beta_row | payload]`` of
-    width ``k + m`` in one contiguous ``(k, k+m)`` matrix, kept in
-    *echelon* form only: each stored row leads with a 1 at its pivot
-    column, but back-substitution into earlier rows is deferred to
-    :meth:`result` (one batched triangular solve) instead of being paid
-    on every arrival.  Offer outcomes are unaffected by the deferral —
-    dependence and inconsistency of an incoming row against the stored
-    span are basis-independent.
+    Elimination runs on the ``k``-wide coefficient rows only.  Each kept
+    row is ``[E | T]``: ``E`` is a coefficient row in reduced echelon
+    form (a 1 at its pivot, zeros at every other kept pivot) and ``T``
+    the ``k``-wide transform that builds it from the original
+    coefficient rows of the kept messages, ``E = T · C_kept``.  Arriving
+    payloads are stored untouched, in acceptance order, and never
+    enter the elimination.  An arriving row is reduced in one step (its
+    entries at the kept pivots are the factors), so rank and dependence
+    are decided on coefficients alone.  Once the rank reaches ``k``,
+    ``E`` sorted by pivot is the identity and ``T`` sorted the same way
+    is ``C_kept^-1``: :meth:`result` is one ``field.matmul`` over the
+    stored payloads.
 
-    A row whose coefficient part reduces to zero is *dependent* if its
-    payload part also vanishes, and *corrupt* (it contradicts the span
-    of authentic rows) otherwise — the latter can only happen when
-    authentication is disabled or defeated, and is still caught and
-    rejected here.
+    A row whose coefficients reduce to zero is a combination
+    ``c = λ · C_kept`` of the kept rows, and its reduced transform part
+    carries ``λ``.  It is *dependent* if its payload matches the same
+    combination of kept payloads (the residual ``y - λ · P_kept``
+    vanishes), and *corrupt* (it contradicts the span of authentic
+    rows) otherwise.  The residual is computed only for such rows.  A
+    corrupt row can only arrive when authentication is disabled or
+    defeated; it is still caught, rejected and counted in
+    :attr:`inconsistent`, and its id stays unseen.
     """
 
     def __init__(
@@ -157,9 +157,9 @@ class ProgressiveDecoder:
         self.field = field if field is not None else GF(params.p)
         self.coefficients = coefficients
         self.digest_store = digest_store
-        self._matrix: np.ndarray | None = None  # (k, k+m), rows in arrival order
-        self._pivots: list[int] = []  # pivot column of stored row i
-        self._order: list[tuple[int, int]] = []  # (pivot, row idx) sorted by pivot
+        self._kept: np.ndarray | None = None  # (k, 2k) rows [E | T], arrival order
+        self._pivots: list[int] = []  # pivot column of kept row i
+        self._payloads: list[np.ndarray] = []  # payload of kept row i
         self._seen_ids: set[int] = set()
         self._decoded: bytes | None = None
         self.accepted = 0
@@ -184,99 +184,10 @@ class ProgressiveDecoder:
 
     def offer(self, message: EncodedMessage) -> Offer:
         """Feed one received message; returns what happened to it."""
-        return self._offer_one(message, None)
-
-    def offer_many(self, messages) -> list[Offer]:
-        """Drain a batch of arrivals in one elimination pass.
-
-        Consumes messages in order until the decode completes; returns
-        one :class:`Offer` per *consumed* message (so the list may be
-        shorter than the input, and is empty when the decoder is already
-        complete).  Outcomes, counters, traces, and the decoded bytes
-        are bit-identical to calling :meth:`offer` in a loop — the only
-        difference is that the elimination of every batched row against
-        the rows already kept happens as whole-matrix kernel ops instead
-        of per-message Python loops.
-        """
-        msgs = list(messages)
-        batch_span = None
-        if _TRACER.enabled:
-            batch_span = _spans.start_span("rlnc.offer_many", count=len(msgs))
-        try:
-            prepared = self._prepare_rows(msgs)
-            outcomes: list[Offer] = []
-            for msg, row in zip(msgs, prepared):
-                if self.is_complete:
-                    break
-                outcomes.append(self._offer_one(msg, row))
-            return outcomes
-        finally:
-            _spans.finish_span(batch_span)
-
-    def _prepare_rows(self, msgs) -> list[np.ndarray | None]:
-        """Build augmented rows for batchable messages and pre-reduce them.
-
-        A message is batchable when it passes the stateless checks
-        (file id, shape) and its id was unseen at batch start; others
-        get ``None`` and take the ordinary path in ``_offer_one``.  The
-        pre-reduction against rows kept *before* the batch is exactly
-        the prefix of the sequential elimination each row would undergo
-        anyway (kept rows are never mutated by later arrivals), so
-        outcomes are unchanged.
-        """
-        field = self.field
-        k, m, p = self.params.k, self.params.m, self.params.p
-        file_id = self.coefficients.file_id
-        prepared: list[np.ndarray | None] = [None] * len(msgs)
-        eligible: list[int] = []
-        for j, msg in enumerate(msgs):
-            if (
-                msg.file_id != file_id
-                or msg.m != m
-                or msg.p != p
-                or msg.message_id in self._seen_ids
-            ):
-                continue
-            eligible.append(j)
-        if len(eligible) < 2 or not self._order:
-            return prepared
-        coeff_rows: list[np.ndarray | None] = []
-        derivable: list[int] = []
-        for j in eligible:
-            # A repair-range id without its registered record has no
-            # derivable row; leave it to the ordinary path, which
-            # rejects it instead of crashing the batch.
-            try:
-                coeff_rows.append(self.coefficients.row(msgs[j].message_id))
-            except UnknownCoefficientError:
-                continue
-            derivable.append(j)
-        eligible = derivable
-        if not eligible:
-            return prepared
-        rows = np.empty((len(eligible), k + m), dtype=field.dtype)
-        for i, j in enumerate(eligible):
-            rows[i, :k] = coeff_rows[i]
-            rows[i, k:] = msgs[j].payload
-        batch_start = time.perf_counter_ns() if _OBS.enabled else None
-        for pivot, ridx in self._order:
-            factors = rows[:, pivot].copy()
-            if factors.any():
-                field.addmul(
-                    rows[:, pivot:], factors[:, None], self._matrix[ridx, pivot:][None, :]
-                )
-        if batch_start is not None:
-            _DEC_BATCHES.inc()
-            _DEC_BATCH_NS.observe(time.perf_counter_ns() - batch_start)
-        for i, j in enumerate(eligible):
-            prepared[j] = rows[i]
-        return prepared
-
-    def _offer_one(self, message: EncodedMessage, prepared_row) -> Offer:
         if not (_OBS.enabled or _TRACER.enabled):
-            return self._offer(message, prepared_row)
+            return self._offer(message)
         rank_before = self.rank
-        outcome = self._offer(message, prepared_row)
+        outcome = self._offer(message)
         if _OBS.enabled:
             if self.rank > rank_before:
                 _DEC_INNOVATIVE.inc()
@@ -293,7 +204,29 @@ class ProgressiveDecoder:
         )
         return outcome
 
-    def _offer(self, message: EncodedMessage, prepared_row=None) -> Offer:
+    def offer_many(self, messages) -> list[Offer]:
+        """Offer ``messages`` in order until the decode completes.
+
+        Returns one :class:`Offer` per *consumed* message (so the list
+        may be shorter than the input, and is empty when the decoder is
+        already complete).  Outcomes, counters, traces, and the decoded
+        bytes are those of calling :meth:`offer` in a loop.
+        """
+        msgs = list(messages)
+        batch_span = None
+        if _TRACER.enabled:
+            batch_span = _spans.start_span("rlnc.offer_many", count=len(msgs))
+        try:
+            outcomes: list[Offer] = []
+            for msg in msgs:
+                if self.is_complete:
+                    break
+                outcomes.append(self.offer(msg))
+            return outcomes
+        finally:
+            _spans.finish_span(batch_span)
+
+    def _offer(self, message: EncodedMessage) -> Offer:
         if self.is_complete:
             return Offer.COMPLETE
         if message.file_id != self.coefficients.file_id:
@@ -310,68 +243,78 @@ class ProgressiveDecoder:
         ):
             self.rejected += 1
             return Offer.REJECTED
+        try:
+            coeff_row = self.coefficients.row(message.message_id)
+        except UnknownCoefficientError:
+            # Repair-range id with no registered repair record: the row
+            # cannot be derived, so the message cannot be used (or even
+            # checked for consistency).
+            self.rejected += 1
+            return Offer.REJECTED
 
-        field = self.field
-        k = self.params.k
         elim_start = time.perf_counter_ns() if _OBS.enabled else None
         try:
-            if prepared_row is None:
-                try:
-                    coeff_row = self.coefficients.row(message.message_id)
-                except UnknownCoefficientError:
-                    # Repair-range id with no registered repair record:
-                    # the row cannot be derived, so the message cannot
-                    # be used (or even checked for consistency).
-                    self.rejected += 1
-                    return Offer.REJECTED
-                row = np.empty(k + self.params.m, dtype=field.dtype)
-                row[:k] = coeff_row
-                row[k:] = message.payload
-            else:
-                row = prepared_row
-            # Eliminate against kept rows in pivot order.  Safe to repeat
-            # on pre-reduced batch rows: already-cleared pivots have zero
-            # factors and are skipped.
-            for pivot, ridx in self._order:
-                v = row[pivot]
-                if v:
-                    # Kept rows lead with a 1 at their pivot; only the
-                    # trailing slice of ``row`` can change.
-                    field.addmul(row[pivot:], v, self._matrix[ridx, pivot:])
-            nonzero = np.nonzero(row[:k])[0]
-            if nonzero.size == 0:
-                if np.any(row[k:]):
-                    # Authentic rows can never contradict the span; this
-                    # message was forged in a way the digests did not catch.
-                    # The decoder survives: the row is dropped, state is
-                    # untouched (the id stays unseen so the authentic
-                    # message with the same id can still be accepted), and
-                    # the inconsistency is counted.
-                    self.rejected += 1
-                    self.inconsistent += 1
-                    if _OBS.enabled:
-                        _DEC_INCONSISTENT.inc()
-                    return Offer.REJECTED
-                self._seen_ids.add(message.message_id)
-                self.dependent += 1
-                return Offer.DEPENDENT
-            pivot = int(nonzero[0])
-            v = row[pivot]
-            if v != 1:
-                field.scale_rows(row[pivot:], field.inv(v))
-            if self._matrix is None:
-                self._matrix = np.zeros((k, k + self.params.m), dtype=field.dtype)
-            ridx = len(self._pivots)
-            self._matrix[ridx] = row
-            self._pivots.append(pivot)
-            insort(self._order, (pivot, ridx))
-            self._seen_ids.add(message.message_id)
-            self.accepted += 1
-            self._decoded = None
-            return Offer.COMPLETE if self.is_complete else Offer.ACCEPTED
+            return self._eliminate(message, coeff_row)
         finally:
             if elim_start is not None:
                 _DEC_ELIM_NS.observe(time.perf_counter_ns() - elim_start)
+
+    def _eliminate(self, message: EncodedMessage, coeff_row: np.ndarray) -> Offer:
+        field = self.field
+        k = self.params.k
+        rank = self.rank
+        if self._kept is None:
+            self._kept = np.zeros((k, 2 * k), dtype=field.dtype)
+        kept = self._kept[:rank]
+        row = np.zeros(2 * k, dtype=field.dtype)
+        row[:k] = coeff_row
+        row[k + rank] = 1  # this arrival's own column of the transform
+        if rank:
+            # Kept rows are fully reduced, so the row's entries at their
+            # pivots are the elimination factors, all known up front.
+            factors = row[self._pivots]
+            if factors.any():
+                products = np.zeros_like(kept)
+                field.addmul(products, factors[:, None], kept)
+                row ^= np.bitwise_xor.reduce(products, axis=0)
+        nonzero = np.nonzero(row[:k])[0]
+        if nonzero.size == 0:
+            # c = λ · C_kept with λ = row[k:k+rank] (char 2: the reduced
+            # transform is e_new - λ = e_new + λ).
+            residual = np.array(message.payload)
+            lam = row[k : k + rank]
+            for t in np.nonzero(lam)[0]:
+                field.addmul(residual, lam[t], self._payloads[t])
+            if residual.any():
+                # Authentic rows can never contradict the span; this
+                # message was forged in a way the digests did not catch.
+                # The decoder survives: the row is dropped, state is
+                # untouched (the id stays unseen so the authentic message
+                # with the same id can still be accepted), and the
+                # inconsistency is counted.
+                self.rejected += 1
+                self.inconsistent += 1
+                if _OBS.enabled:
+                    _DEC_INCONSISTENT.inc()
+                return Offer.REJECTED
+            self._seen_ids.add(message.message_id)
+            self.dependent += 1
+            return Offer.DEPENDENT
+        pivot = int(nonzero[0])
+        v = row[pivot]
+        if v != 1:
+            field.scale_rows(row, field.inv(v))
+        # Back-substitute so every kept row stays zero at the new pivot.
+        factors = kept[:, pivot].copy()
+        if factors.any():
+            field.addmul(kept, factors[:, None], row[None, :])
+        self._kept[rank] = row
+        self._pivots.append(pivot)
+        self._payloads.append(message.payload)
+        self._seen_ids.add(message.message_id)
+        self.accepted += 1
+        self._decoded = None
+        return Offer.COMPLETE if self.is_complete else Offer.ACCEPTED
 
     def result(self, length: int | None = None) -> bytes:
         """The decoded file bytes; valid once :attr:`is_complete`."""
@@ -381,12 +324,12 @@ class ProgressiveDecoder:
             )
         if self._decoded is None:
             k = self.params.k
+            # At full rank the reduced coefficient block is a row
+            # permutation of the identity; sorting by pivot leaves the
+            # transform block equal to the inverse of C_kept.
             order = np.argsort(np.asarray(self._pivots, dtype=np.intp))
-            M = self._matrix[order]
-            # Deferred back-substitution: the coefficient block is unit
-            # upper-triangular after the pivot sort, so one engine solve
-            # finishes the Gauss-Jordan reduction in a single pass.
-            source = solve(self.field, M[:, :k], M[:, k:])
+            inverse = self._kept[order, k:]
+            source = self.field.matmul(inverse, np.stack(self._payloads))
             self._decoded = symbols_to_bytes(source.reshape(-1), self.params.p)
         data = self._decoded
         return data[: length if length is not None else self.params.file_bytes]

@@ -28,7 +28,8 @@ _MAX_ID = (1 << 64) - 1
 
 
 class MessageFormatError(ValueError):
-    """Raised for malformed wire bytes or out-of-range identifiers."""
+    """Raised for malformed wire bytes, out-of-range identifiers or
+    out-of-range payload symbols."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,19 @@ class EncodedMessage:
         for name, value in (("file_id", self.file_id), ("message_id", self.message_id)):
             if not 0 <= value <= _MAX_ID:
                 raise MessageFormatError(f"{name} {value} does not fit in 8 bytes")
-        payload = np.ascontiguousarray(self.payload, dtype=np.uint32)
+        raw = np.asarray(self.payload)
+        # Symbols outside [0, 2^p) have no wire form: payload_bytes()
+        # would drop their high bits, so a forged payload could share an
+        # authentic message's bytes and digest, and the GF(2^8) kernel
+        # narrows symbols to bytes.  Reject them here, at the one place
+        # every payload enters the program.
+        if raw.size and (
+            int(raw.max()) >= 1 << self.p or (raw.dtype.kind == "i" and raw.min() < 0)
+        ):
+            raise MessageFormatError(
+                f"payload symbols must lie in [0, 2^{self.p}) for p={self.p}"
+            )
+        payload = np.ascontiguousarray(raw, dtype=np.uint32)
         payload.flags.writeable = False
         object.__setattr__(self, "payload", payload)
 

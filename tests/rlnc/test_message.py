@@ -38,6 +38,29 @@ class TestConstruction:
                 payload=np.zeros(4, dtype=np.uint32), p=8,
             )
 
+    @pytest.mark.parametrize("p,bad", [(4, 16), (8, 0x1FF), (16, 1 << 16), (8, -1)])
+    def test_symbol_range_enforced(self, p, bad):
+        payload = np.zeros(4, dtype=np.int64)
+        payload[2] = bad
+        with pytest.raises(MessageFormatError):
+            EncodedMessage(file_id=1, message_id=2, payload=payload, p=p)
+
+    def test_out_of_range_forgery_cannot_alias_authentic_bytes(self):
+        """A p=8 payload carrying 0x1FF used to pack to the same wire
+        bytes (and digest) as the authentic 0xFF; it is now refused where
+        it is built, before any digest check or decoder sees it."""
+        msg = make_message(p=8, m=8)
+        forged = np.asarray(msg.payload).copy()
+        forged[0] |= 0x100
+        with pytest.raises(MessageFormatError):
+            msg.with_payload(forged)
+
+    def test_largest_symbol_accepted(self):
+        for p in (4, 8, 16, 32):
+            payload = np.full(3, (1 << p) - 1, dtype=np.uint64)
+            msg = EncodedMessage(file_id=1, message_id=2, payload=payload, p=p)
+            assert int(msg.payload.max()) == (1 << p) - 1
+
 
 class TestWireFormat:
     @pytest.mark.parametrize("p,m", [(4, 6), (8, 10), (16, 7), (32, 3)])

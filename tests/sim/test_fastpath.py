@@ -10,11 +10,13 @@ a named test instead of silently downgrading the engine.
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.allocation import (
     PeerwiseProportionalAllocator,
     enforce_feasibility_rows,
 )
 from repro.core.baselines import GlobalProportionalAllocator
+from repro.native import NativeLoader
 from repro.sim import fastpath
 
 kernels = fastpath.load()
@@ -105,17 +107,23 @@ class TestKernelsBitIdentical:
         assert np.all(out[rows] >= 0.0)
 
 
+def _fresh_loader(monkeypatch):
+    """Make ``fastpath.load()`` resolve again, restoring state afterwards."""
+    monkeypatch.setattr(
+        fastpath, "_LOADER",
+        NativeLoader(fastpath._SOURCE, fastpath.FastAlloc, fastpath._self_check),
+    )
+
+
 class TestGating:
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        monkeypatch.setattr(fastpath, "_RESOLVED", False)
-        monkeypatch.setattr(fastpath, "_CACHED", None)
+        _fresh_loader(monkeypatch)
         assert fastpath.load() is None
 
     def test_no_compiler_means_fallback(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_compiler", lambda: None)
-        monkeypatch.setattr(fastpath, "_RESOLVED", False)
-        monkeypatch.setattr(fastpath, "_CACHED", None)
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        _fresh_loader(monkeypatch)
         assert fastpath.load() is None
 
     def test_load_is_memoized(self):
